@@ -9,24 +9,15 @@
  * (the task node is recycled through the pool free list and the
  * promise's shared state through SharedStatePool), and parallelFor()
  * amortizes to zero allocations per index.
- *
- * `--json` skips google-benchmark and emits the fork/join scaling
- * micro in the bench_micro_kernels row format (forkjoin_w1/w2/w4
- * ns/element over a 16-block tick-shaped fan-out), which
- * bench/check_regression harvests into BENCH_kernels.json.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <new>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "exec/arena.h"
@@ -197,131 +188,6 @@ BM_ArenaAllocateReset(benchmark::State &state)
 }
 BENCHMARK(BM_ArenaAllocateReset);
 
-/**
- * The sharded data plane's per-tick shape: 16 fixed blocks fanned out
- * through forkJoin (caller participates, no barrier).  One block's
- * work is deliberately small — a few microseconds — because that is
- * where fork/join overhead either amortizes or dominates.
- */
-constexpr std::size_t kFjBlocks = 16;
-constexpr std::size_t kFjGranule = 2048; ///< elements per block
-
-volatile std::uint64_t g_fj_sink;
-
-std::uint64_t
-fjBlockWork(std::size_t block)
-{
-    // splitmix-style integer mixing: cheap, unvectorized, and opaque
-    // enough that the compiler cannot collapse the loop.
-    std::uint64_t x = 0x9e3779b97f4a7c15ULL * (block + 1);
-    for (std::size_t i = 0; i < kFjGranule; ++i) {
-        x += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = x;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        x ^= z >> 31;
-    }
-    return x;
-}
-
-/**
- * Best-of-reps ns/element for the 16-block fan-out with @p
- * participants total runners (caller + participants-1 pool workers);
- * participants == 1 times the serial inline path the data plane takes
- * at --shard-workers 1.
- */
-double
-forkJoinNsPerElement(std::size_t participants)
-{
-    std::optional<exec::ThreadPool> pool_holder;
-    exec::ThreadPool *pool = nullptr;
-    if (participants > 1) {
-        pool_holder.emplace(participants - 1);
-        pool = &*pool_holder;
-    }
-    std::uint64_t slots[kFjBlocks] = {};
-    const auto run_once = [&] {
-        if (pool == nullptr) {
-            for (std::size_t b = 0; b < kFjBlocks; ++b)
-                slots[b] = fjBlockWork(b);
-        } else {
-            pool->forkJoin(kFjBlocks, [&](std::size_t b) {
-                slots[b] = fjBlockWork(b);
-            });
-        }
-        std::uint64_t sum = 0;
-        for (std::size_t b = 0; b < kFjBlocks; ++b)
-            sum += slots[b];
-        g_fj_sink = sum;
-    };
-    run_once(); // warm the pool's node free lists
-
-    constexpr int kIters = 50;
-    double best = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < kIters; ++i)
-            run_once();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ns =
-            std::chrono::duration<double, std::nano>(t1 - t0).count() /
-            (static_cast<double>(kIters) *
-             static_cast<double>(kFjBlocks * kFjGranule));
-        if (rep == 0 || ns < best)
-            best = ns;
-    }
-    return best;
-}
-
-/** Fork/join dispatch cost under google-benchmark too, with the same
- *  zero-steady-state-allocation obligation as the other task paths. */
-void
-BM_ForkJoin(benchmark::State &state)
-{
-    exec::ThreadPool pool(2);
-    std::uint64_t slots[kFjBlocks] = {};
-    pool.forkJoin(kFjBlocks, [&](std::size_t b) {
-        slots[b] = fjBlockWork(b);
-    }); // warm
-
-    const std::size_t before = g_allocs;
-    for (auto _ : state) {
-        pool.forkJoin(kFjBlocks, [&](std::size_t b) {
-            slots[b] = fjBlockWork(b);
-        });
-        benchmark::DoNotOptimize(slots);
-    }
-    reportAllocs(state, before, "allocs_per_forkjoin");
-}
-BENCHMARK(BM_ForkJoin);
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json") {
-            const std::size_t widths[] = {1, 2, 4};
-            std::printf("{\n");
-            std::printf("  \"bench\": \"bench_micro_exec\",\n");
-            std::printf("  \"kernels\": [\n");
-            const std::size_t n = sizeof widths / sizeof widths[0];
-            for (std::size_t w = 0; w < n; ++w) {
-                std::printf(
-                    "    {\"name\": \"forkjoin_w%zu\", "
-                    "\"ns_per_element\": %.4f}%s\n",
-                    widths[w], forkJoinNsPerElement(widths[w]),
-                    w + 1 < n ? "," : "");
-            }
-            std::printf("  ]\n}\n");
-            return 0;
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -139,18 +139,6 @@ parseSweepArgs(int argc, char **argv,
         }
         args.sweep.jobs = static_cast<std::size_t>(v);
     };
-    auto parseShardWorkers = [&](const char *text) {
-        char *end = nullptr;
-        const long v = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || v < 1) {
-            std::fprintf(stderr,
-                         "invalid --shard-workers value '%s' (want an "
-                         "integer >= 1)\n",
-                         text);
-            std::exit(2);
-        }
-        args.shard_workers = static_cast<std::size_t>(v);
-    };
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         if (std::strcmp(a, "--json") == 0) {
@@ -164,14 +152,6 @@ parseSweepArgs(int argc, char **argv,
             parseJobs(argv[++i]);
         } else if (std::strncmp(a, "--jobs=", 7) == 0) {
             parseJobs(a + 7);
-        } else if (std::strcmp(a, "--shard-workers") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a);
-                std::exit(2);
-            }
-            parseShardWorkers(argv[++i]);
-        } else if (std::strncmp(a, "--shard-workers=", 16) == 0) {
-            parseShardWorkers(a + 16);
         } else if (std::strcmp(a, "--cache-dir") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s needs a value\n", a);

@@ -129,22 +129,13 @@ struct SweepArgs
 {
     SweepOptions sweep;
     bool json = false; ///< machine-readable output (--json)
-
-    /**
-     * Intra-run data-plane workers (--shard-workers N): how many
-     * physical threads one run's tick fans its logical shards across
-     * (sim::setShardWorkers).  Orthogonal to `sweep.jobs`, which
-     * parallelizes *across* runs.  1 = serial data plane.
-     */
-    std::size_t shard_workers = 1;
 };
 
 /**
- * Parse `--jobs N` (also `--jobs=N`, `-j N`), `--shard-workers N`
- * (also `--shard-workers=N`), `--json`,
+ * Parse `--jobs N` (also `--jobs=N`, `-j N`), `--json`,
  * `--cache-dir PATH` (also `--cache-dir=PATH`) and `--no-disk-cache`
  * from a bench harness's argv; unknown arguments are ignored.  Exits
- * with a usage message on a malformed --jobs or --shard-workers value.
+ * with a usage message on a malformed --jobs value.
  *
  * @p default_cache_dir seeds SweepOptions::disk_cache_dir before the
  * flags are applied: harnesses that want the persistent store by

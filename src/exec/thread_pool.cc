@@ -352,121 +352,6 @@ ThreadPool::runParallelFor(ParallelForCtx &ctx)
         std::rethrow_exception(ctx.error);
 }
 
-namespace {
-
-/** Inline helper-node payload for forkJoin: which runner am I. */
-struct ForkJoinPayload
-{
-    detail::ForkJoinCtx *ctx;
-    std::size_t runner;
-};
-
-} // namespace
-
-/**
- * Shared runner body: drain the home stripe (runner % stripes), then
- * wrap-scan the others for leftovers.  Every index is claimed by
- * exactly one fetch_add winner.
- */
-void
-ThreadPool::forkJoinRun(detail::ForkJoinCtx *ctx,
-                        std::size_t runner) noexcept
-{
-    const std::size_t stripes = ctx->stripes;
-    for (std::size_t hop = 0; hop < stripes; ++hop) {
-        auto &stripe = ctx->stripe[(runner + hop) % stripes];
-        for (;;) {
-            const std::size_t i =
-                stripe.next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= stripe.end)
-                break;
-            try {
-                ctx->invoke_body(ctx->body, i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(ctx->mutex);
-                if (i < ctx->error_index) {
-                    ctx->error = std::current_exception();
-                    ctx->error_index = i;
-                }
-            }
-        }
-    }
-}
-
-void
-ThreadPool::forkJoinInvoke(TaskNode *node) noexcept
-{
-    const auto payload = *std::launder(
-        reinterpret_cast<ForkJoinPayload *>(node->storage));
-    forkJoinRun(payload.ctx, payload.runner);
-    // Release-increment is the helper's LAST touch of ctx: once the
-    // caller observes helpers_done == helpers (acquire), the stack
-    // frame holding ctx is free to die.
-    payload.ctx->helpers_done.fetch_add(1, std::memory_order_release);
-}
-
-void
-ThreadPool::runForkJoin(detail::ForkJoinCtx &ctx)
-{
-    const std::size_t helpers = std::min(workers_.size(), ctx.n - 1);
-    const std::size_t runners = helpers + 1; // caller participates
-    const std::size_t stripes = std::min(
-        {runners, ctx.n, detail::ForkJoinCtx::kMaxStripes});
-    ctx.helpers = helpers;
-    ctx.stripes = stripes;
-    for (std::size_t s = 0; s < stripes; ++s) {
-        ctx.stripe[s].next.store(s * ctx.n / stripes,
-                                 std::memory_order_relaxed);
-        ctx.stripe[s].end = (s + 1) * ctx.n / stripes;
-    }
-
-    if (helpers != 0) {
-        // Bulk enqueue, one injector lock — same idiom as
-        // runParallelFor.  Helpers get runner ids 1..helpers; their
-        // home stripes interleave with the caller's (runner 0).
-        {
-            std::lock_guard<std::mutex> lock(injector_mutex_);
-            for (std::size_t i = 0; i < helpers; ++i) {
-                TaskNode *node;
-                if (free_list_ != nullptr) {
-                    node = free_list_;
-                    free_list_ = node->next;
-                } else {
-                    node = new (node_arena_.allocate(
-                        sizeof(TaskNode), alignof(TaskNode)))
-                        TaskNode();
-                }
-                static_assert(sizeof(ForkJoinPayload) <=
-                              TaskNode::kInlineBytes);
-                new (node->storage) ForkJoinPayload{&ctx, i + 1};
-                node->invoke = &forkJoinInvoke;
-                node->next = nullptr;
-                if (injector_tail_ != nullptr)
-                    injector_tail_->next = node;
-                else
-                    injector_head_ = node;
-                injector_tail_ = node;
-            }
-            outstanding_.fetch_add(helpers,
-                                   std::memory_order_relaxed);
-        }
-        {
-            std::lock_guard<std::mutex> lock(park_mutex_);
-            ++epoch_;
-        }
-        park_cv_.notify_all();
-    }
-
-    forkJoinRun(&ctx, 0);
-
-    // Spin-join: the claim loops are tick-sized, so helpers finish in
-    // microseconds; yielding keeps the 1-core fallback honest.
-    while (ctx.helpers_done.load(std::memory_order_acquire) != helpers)
-        std::this_thread::yield();
-    if (ctx.error)
-        std::rethrow_exception(ctx.error);
-}
-
 std::size_t
 ThreadPool::defaultConcurrency()
 {

@@ -123,43 +123,6 @@ struct SharedStateAllocator
     }
 };
 
-/**
- * Caller-stack state shared by one forkJoin's runners.
- *
- * Unlike ParallelForCtx there is no condition variable: the caller is
- * itself runner 0 and spin-joins on `helpers_done`, so the whole
- * fork/join costs one injector lock plus atomic claims — cheap enough
- * to issue once per simulation tick.  Indices are split into
- * cache-line-padded stripes; runner r starts at its home stripe
- * (r % stripes) and wrap-scans, so under contention each runner mostly
- * touches its own claim counter (the shard-affinity hint) while still
- * stealing leftover blocks from slow stripes.
- */
-struct ForkJoinCtx
-{
-    static constexpr std::size_t kMaxStripes = 16;
-
-    struct alignas(64) Stripe
-    {
-        std::atomic<std::size_t> next{0};
-        std::size_t end = 0;
-    };
-
-    std::size_t n = 0;
-    void *body = nullptr;
-    void (*invoke_body)(void *, std::size_t) = nullptr;
-
-    std::size_t stripes = 0;
-    Stripe stripe[kMaxStripes];
-
-    std::size_t helpers = 0;
-    std::atomic<std::size_t> helpers_done{0};
-
-    std::mutex mutex; ///< error capture only
-    std::exception_ptr error;
-    std::size_t error_index = static_cast<std::size_t>(-1);
-};
-
 /** Caller-stack state shared by one parallelFor's chunk runners. */
 struct ParallelForCtx
 {
@@ -243,38 +206,6 @@ class ThreadPool
             (*static_cast<std::remove_reference_t<Body> *>(b))(i);
         };
         runParallelFor(ctx);
-    }
-
-    /**
-     * Run body(i) for every i in [0, n) with the *caller participating*
-     * as runner 0: up to size() helper tasks are injected and the
-     * caller claims striped indices alongside them, then spin-joins
-     * (no condition variable, no helper-side blocking — barrier-free on
-     * the Chase-Lev deques).  This is the intra-run fan-out primitive:
-     * a scenario tick forks its shard blocks here and continues the
-     * moment the last block lands.  Safe to call from a worker of a
-     * *different* pool (the sweep pool's workers fork into the shard
-     * pool); like parallelFor it must not be called from this pool's
-     * own workers.  The lowest-index body exception is rethrown after
-     * every index has run.
-     */
-    template <typename Body>
-    void forkJoin(std::size_t n, Body &&body)
-    {
-        if (n == 0)
-            return;
-        if (n == 1) {
-            body(0); // nothing to fork; run inline, propagate directly
-            return;
-        }
-        detail::ForkJoinCtx ctx;
-        ctx.n = n;
-        ctx.body = const_cast<void *>(
-            static_cast<const void *>(std::addressof(body)));
-        ctx.invoke_body = [](void *b, std::size_t i) {
-            (*static_cast<std::remove_reference_t<Body> *>(b))(i);
-        };
-        runForkJoin(ctx);
     }
 
     /**
@@ -366,10 +297,6 @@ class ThreadPool
     void releaseNode(detail::TaskNode *node);
     void enqueue(detail::TaskNode *node);
     void runParallelFor(detail::ParallelForCtx &ctx);
-    void runForkJoin(detail::ForkJoinCtx &ctx);
-    static void forkJoinRun(detail::ForkJoinCtx *ctx,
-                            std::size_t runner) noexcept;
-    static void forkJoinInvoke(detail::TaskNode *node) noexcept;
     void notifySubmitted();
     void workerLoop(Worker &self);
     detail::TaskNode *findExternalWork(Worker &self);

@@ -7,7 +7,7 @@
 #include <stdexcept>
 
 #include "exec/thread_pool.h"
-#include "sim/shard.h"
+#include "sim/rng.h"
 
 namespace smartconf::fleet {
 namespace {
@@ -147,7 +147,8 @@ runFleet(const FleetParams &params)
         if (params.pool)
             params.pool->parallelFor(groups, body);
         else
-            sim::shardFanOut(groups, body);
+            for (std::size_t g = 0; g < groups; ++g)
+                body(g);
         ++epochs;
     }
 

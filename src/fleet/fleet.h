@@ -20,8 +20,8 @@
  * Determinism: the tenant->group map is a pure function of the tenant
  * count (kFleetGroups contiguous ranges), every tenant owns a private
  * Rng stream forked by tenant id, and groups share no mutable state —
- * so the result is byte-identical at any `--jobs x --shard-workers`
- * combination, exactly like the intra-run shard plane (sim/shard.h).
+ * so the result is byte-identical at any `--jobs` count, and the
+ * serial and pooled paths agree.
  *
  * Traffic: one ZipfianGenerator over the tenant population (YCSB skew,
  * the alias-table sampler) draws each epoch's ops; per-tenant load is
@@ -46,7 +46,7 @@ class ThreadPool;
 namespace smartconf::fleet {
 
 /** Logical epoch-body groups; fixed so grouping never depends on the
- *  worker count (the same trick as sim::kShards). */
+ *  worker count (as sim::kShards fixes the lane layout). */
 inline constexpr std::size_t kFleetGroups = 64;
 
 struct FleetParams
@@ -73,9 +73,8 @@ struct FleetParams
     workload::DiurnalCurve diurnal{0.25, 240, 0};
 
     /**
-     * Executor for the epoch-body fan-out.  Null falls back to
-     * sim::shardFanOut (inline when shard workers <= 1), so the same
-     * entry point serves `--jobs N` and `--shard-workers M` runs.
+     * Executor for the epoch-body fan-out (`--jobs N`).  Null runs the
+     * groups serially on the calling thread, in group order.
      */
     exec::ThreadPool *pool = nullptr;
 };

@@ -131,9 +131,8 @@ struct ScenarioResult
     /**
      * Data-plane ops served per logical shard (sim::kShards entries,
      * pinned lane order; empty for scenarios without a sharded
-     * producer).  Independent of the physical worker count — part of
-     * the byte-identical result surface — and the source of
-     * bench_sweep's shard-imbalance stat.
+     * producer).  Part of the byte-identical result surface and the
+     * source of bench_sweep's shard-imbalance stat.
      */
     std::vector<std::uint64_t> shard_ops;
 

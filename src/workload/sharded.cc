@@ -44,17 +44,19 @@ ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
     const std::uint64_t write_bound =
         sim::Rng::coinThreshold(params_.write_fraction);
 
-    // One body serves the single-block fast path and both fan-out
-    // paths: each block touches only its lane's Rng (distinct per
-    // block — blocks <= kShards) and its disjoint out/scratch/jitter
-    // segments, in the same SoA column order as YcsbGenerator.
+    // Each block draws only from its own lane's Rng (distinct per
+    // block — blocks <= kShards) into its disjoint out/scratch/jitter
+    // segment, in the same SoA column order as YcsbGenerator.
     Op *const ops = out.data();
     std::uint64_t *const scratch = scratch_.data();
     double *const jitter = jitter_.data();
-    const auto block_body = [&](std::size_t lane_idx, std::size_t begin,
-                                std::size_t end) {
+    sim::ShardSpan spans[sim::kShards];
+    const std::size_t blocks = sim::shardLayout(n, seq, spans);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        const std::size_t begin = spans[b].begin;
+        const std::size_t end = spans[b].end;
         const std::size_t len = end - begin;
-        sim::Rng &lane = plane_.lane(lane_idx);
+        sim::Rng &lane = plane_.lane(spans[b].lane);
 
         lane.fillRaw(scratch + begin, len);
         for (std::size_t i = begin; i < end; ++i)
@@ -72,19 +74,7 @@ ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
             ops[i].size_mb =
                 params_.request_size_mb * std::max(0.05, jitter[i]);
 
-        plane_.addOps(lane_idx, len);
-    };
-    if (n <= sim::kShardGranule) {
-        // Typical ticks are one block: same layout shardLayout would
-        // produce ([0, n) on lane seq % kShards), without building the
-        // span table or entering the fan-out frame on every tick.
-        block_body(static_cast<std::size_t>(seq % sim::kShards), 0, n);
-    } else {
-        sim::ShardSpan spans[sim::kShards];
-        const std::size_t blocks = sim::shardLayout(n, seq, spans);
-        sim::shardFanOut(blocks, [&](std::size_t b) {
-            block_body(spans[b].lane, spans[b].begin, spans[b].end);
-        });
+        plane_.addOps(spans[b].lane, len);
     }
     generated_ += n;
 }
@@ -110,44 +100,29 @@ ShardedDfsioGenerator::tickInto(sim::Tick now,
     const std::uint64_t clients =
         std::max<std::uint64_t>(1, params_.clients);
 
-    if (n != 0) {
-        DfsRequest *const reqs = out.data();
-        std::uint64_t *const scratch = scratch_.data();
-        const auto block_body = [&](std::size_t lane_idx,
-                                    std::size_t begin,
-                                    std::size_t end) {
-            const std::size_t len = end - begin;
-            sim::Rng &lane = plane_.lane(lane_idx);
-            lane.fillRaw(scratch + begin, len);
-            if ((clients & (clients - 1)) == 0) {
-                const std::uint64_t mask = clients - 1;
-                for (std::size_t i = begin; i < end; ++i) {
-                    reqs[i].type = DfsRequest::Type::WriteFile;
-                    reqs[i].client = scratch[i] & mask;
-                    reqs[i].file_count = 0;
-                }
-            } else {
-                for (std::size_t i = begin; i < end; ++i) {
-                    reqs[i].type = DfsRequest::Type::WriteFile;
-                    reqs[i].client = scratch[i] % clients;
-                    reqs[i].file_count = 0;
-                }
+    DfsRequest *const reqs = out.data();
+    std::uint64_t *const scratch = scratch_.data();
+    sim::ShardSpan spans[sim::kShards];
+    const std::size_t blocks = sim::shardLayout(n, seq, spans);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        const std::size_t begin = spans[b].begin;
+        const std::size_t end = spans[b].end;
+        plane_.lane(spans[b].lane).fillRaw(scratch + begin, end - begin);
+        if ((clients & (clients - 1)) == 0) {
+            const std::uint64_t mask = clients - 1;
+            for (std::size_t i = begin; i < end; ++i) {
+                reqs[i].type = DfsRequest::Type::WriteFile;
+                reqs[i].client = scratch[i] & mask;
+                reqs[i].file_count = 0;
             }
-            plane_.addOps(lane_idx, len);
-        };
-        if (n <= sim::kShardGranule) {
-            // Single-block fast path: the layout shardLayout would
-            // produce, without the span table or the fan-out frame.
-            block_body(static_cast<std::size_t>(seq % sim::kShards), 0,
-                       n);
         } else {
-            sim::ShardSpan spans[sim::kShards];
-            const std::size_t blocks = sim::shardLayout(n, seq, spans);
-            sim::shardFanOut(blocks, [&](std::size_t b) {
-                block_body(spans[b].lane, spans[b].begin,
-                           spans[b].end);
-            });
+            for (std::size_t i = begin; i < end; ++i) {
+                reqs[i].type = DfsRequest::Type::WriteFile;
+                reqs[i].client = scratch[i] % clients;
+                reqs[i].file_count = 0;
+            }
         }
+        plane_.addOps(spans[b].lane, end - begin);
     }
     generated_ += n;
 

@@ -82,8 +82,7 @@ struct DiurnalCurve
 /**
  * Record @p ticks of a diurnal YCSB workload: a ShardedYcsbGenerator
  * seeded from @p rng produces each tick's batch (through the sharded
- * data plane, so the recorded trace is identical at any shard-worker
- * count) with ops/tick scaled by @p curve.  @p params supplies the
+ * data plane's logical lanes) with ops/tick scaled by @p curve.  @p params supplies the
  * peak rate and mix.
  */
 Trace recordDiurnal(const YcsbParams &params, const DiurnalCurve &curve,

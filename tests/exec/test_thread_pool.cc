@@ -112,108 +112,4 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks)
     EXPECT_EQ(executed.load(), 50);
 }
 
-TEST(ThreadPool, ForkJoinRunsEveryIndexExactlyOnce)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.forkJoin(hits.size(),
-                  [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ForkJoinSmallCasesInline)
-{
-    ThreadPool pool(2);
-    int ran = 0;
-    pool.forkJoin(0, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran, 0);
-    pool.forkJoin(1, [&](std::size_t i) {
-        EXPECT_EQ(i, 0u);
-        ++ran;
-    });
-    EXPECT_EQ(ran, 1);
-}
-
-TEST(ThreadPool, ForkJoinReusableAcrossCalls)
-{
-    ThreadPool pool(3);
-    std::atomic<long> sum{0};
-    for (int round = 0; round < 50; ++round)
-        pool.forkJoin(64, [&](std::size_t i) {
-            sum.fetch_add(static_cast<long>(i));
-        });
-    EXPECT_EQ(sum.load(), 50L * (63 * 64 / 2));
-}
-
-TEST(ThreadPool, ForkJoinPropagatesException)
-{
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.forkJoin(100,
-                               [](std::size_t i) {
-                                   if (i == 37)
-                                       throw std::runtime_error("i37");
-                               }),
-                 std::runtime_error);
-    // The pool survives and keeps working.
-    std::atomic<int> n{0};
-    pool.forkJoin(8, [&](std::size_t) { n.fetch_add(1); });
-    EXPECT_EQ(n.load(), 8);
-}
-
-TEST(ThreadPool, ForkJoinStealStressAcrossWorkersMidTick)
-{
-    // The tsan target for the sharded data plane: skewed per-block
-    // work forces idle runners to steal blocks from other stripes
-    // mid-"tick" while unrelated submit() traffic churns the deques.
-    ThreadPool pool(4);
-    ThreadPool churn(2);
-    std::atomic<bool> stop{false};
-    std::future<void> noise = churn.submit([&] {
-        while (!stop.load()) {
-            std::vector<std::future<int>> fs;
-            for (int i = 0; i < 16; ++i)
-                fs.push_back(pool.submit([i] { return i; }));
-            for (auto &f : fs)
-                f.get();
-        }
-    });
-
-    std::vector<std::atomic<int>> hits(16);
-    for (int round = 0; round < 200; ++round) {
-        for (auto &h : hits)
-            h.store(0);
-        pool.forkJoin(hits.size(), [&](std::size_t b) {
-            // Block 0 is ~100x the work of block 15: the home-stripe
-            // owner of the cheap tail must wrap-scan into other
-            // stripes to finish the tick.
-            volatile double acc = 0.0;
-            const int work = 100 * static_cast<int>(hits.size() - b);
-            for (int k = 0; k < work; ++k)
-                acc = acc + static_cast<double>(k);
-            hits[b].fetch_add(1);
-        });
-        for (auto &h : hits)
-            ASSERT_EQ(h.load(), 1);
-    }
-    stop.store(true);
-    noise.get();
-}
-
-TEST(ThreadPool, ForkJoinFromAnotherPoolsWorker)
-{
-    // The sharded data plane calls the global shard pool's forkJoin
-    // from a SweepRunner worker thread — i.e. from a *different*
-    // pool's worker.  That nesting must complete and produce every
-    // index.
-    ThreadPool outer(2);
-    ThreadPool inner(2);
-    std::future<int> f = outer.submit([&] {
-        std::atomic<int> n{0};
-        inner.forkJoin(100, [&](std::size_t) { n.fetch_add(1); });
-        return n.load();
-    });
-    EXPECT_EQ(f.get(), 100);
-}
-
 } // namespace

@@ -2,17 +2,16 @@
  * @file
  * Fleet determinism across executor configurations: the results that
  * feed bench_fleet's JSON payload must be identical whether the epoch
- * bodies run inline, on the process-wide shard pool, or on a
- * dedicated work-stealing pool of any size.  This is the in-process
- * half of the `bench_fleet --json` byte-identity that CI checks via
- * the payload sha across the --jobs x --shard-workers matrix.
+ * bodies run serially on the calling thread or on a work-stealing pool
+ * of any size.  This is the in-process half of the
+ * `bench_fleet --json` byte-identity that CI checks via the payload
+ * sha at every --jobs count.
  */
 
 #include <gtest/gtest.h>
 
 #include "exec/thread_pool.h"
 #include "fleet/fleet.h"
-#include "sim/shard.h"
 
 namespace smartconf::fleet {
 namespace {
@@ -56,7 +55,7 @@ expectIdentical(const FleetResult &a, const FleetResult &b)
 
 TEST(FleetDeterminism, PoolSizeDoesNotChangeResults)
 {
-    // Reference: fully inline (no pool, serial shard plane).
+    // Reference: no pool, groups run serially in group order.
     const FleetResult serial = runFleet(testFleet());
 
     for (const std::size_t jobs : {2u, 8u}) {
@@ -67,17 +66,6 @@ TEST(FleetDeterminism, PoolSizeDoesNotChangeResults)
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
         expectIdentical(serial, parallel);
     }
-}
-
-TEST(FleetDeterminism, ShardWorkersDoNotChangeResults)
-{
-    const std::size_t before = sim::shardWorkers();
-    sim::setShardWorkers(1);
-    const FleetResult serial = runFleet(testFleet());
-    sim::setShardWorkers(4);
-    const FleetResult sharded = runFleet(testFleet());
-    sim::setShardWorkers(before);
-    expectIdentical(serial, sharded);
 }
 
 TEST(FleetDeterminism, RepeatRunsAreBitIdentical)

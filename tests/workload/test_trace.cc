@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "kvstore/memtable.h"
-#include "sim/shard.h"
 #include "workload/trace.h"
 
 namespace smartconf::workload {
@@ -157,22 +156,6 @@ TEST(Diurnal, RecordedTraceFollowsTheCurve)
             ++peak_ops;
     }
     EXPECT_GT(peak_ops, trough_ops * 2);
-}
-
-TEST(Diurnal, RecordingIsDeterministicAcrossShardWorkerCounts)
-{
-    YcsbParams p;
-    p.write_fraction = 0.5;
-    p.ops_per_tick = 300.0;
-    p.burstiness = 0.2;
-    const DiurnalCurve curve;
-
-    sim::setShardWorkers(1);
-    const Trace serial = recordDiurnal(p, curve, sim::Rng(32), 60);
-    sim::setShardWorkers(4);
-    const Trace forked = recordDiurnal(p, curve, sim::Rng(32), 60);
-    sim::setShardWorkers(1);
-    EXPECT_EQ(serial.serialize(), forked.serialize());
 }
 
 TEST(Diurnal, ReplayDrivesAMemtableScenarioSmoke)
