@@ -34,7 +34,6 @@
 #include "exec/thread_pool.h"
 #include "fleet/fleet.h"
 #include "sim/kernels.h"
-#include "sim/simd.h"
 
 namespace {
 
@@ -141,12 +140,12 @@ main(int argc, char **argv)
     if (args.json) {
         std::printf("{\n");
         std::printf("  \"bench\": \"bench_fleet\",\n");
+        const char *isa = sim::kernels::hasAvx2() ? "avx2" : "scalar";
         std::printf("  \"host\": {\"cpus\": %u, \"isa_detected\": "
                     "\"%s\", \"isa_active\": \"%s\", \"compiler\": "
                     "\"%s\"},\n",
                     std::thread::hardware_concurrency(),
-                    sim::simd::name(sim::simd::detected()),
-                    sim::simd::name(sim::kernels::activeIsa()),
+                    isa, isa,
                     __VERSION__);
         std::printf("  \"jobs\": %zu,\n", jobs);
         std::printf("  \"seed\": %llu,\n",

@@ -1,16 +1,18 @@
 /**
  * @file
- * Per-kernel microbenchmark for the SIMD kernel layer (sim/kernels.h):
- * ns/element for every kernel at the active dispatch level and at the
- * scalar reference, so the vector backends' advantage is a number the
- * regression gate can hold on to (`bench_micro_kernels --json`, floors
- * recorded in BENCH_kernels.json via bench/check_regression --update).
+ * Per-kernel microbenchmark for the kernel layer (sim/kernels.h):
+ * ns/element for every kernel as the simulation calls it, so a kernel
+ * regressing is a number the regression gate can hold on to
+ * (`bench_micro_kernels --json`, floors recorded in BENCH_kernels.json
+ * via bench/check_regression --update).  The two kernels with an AVX2
+ * body (alias_sample, gaussian) also time kernels::reference:: on the
+ * same input, so the vector body's advantage stays measured.
  *
  * "Element" is one uint64 word for the RNG/alias kernels, one double
- * for the reductions, and one byte for checksum/copy.  Batch sizes use
- * a hot size (4096) large enough that dispatch overhead amortizes out
- * — the point is kernel body throughput, not call cost (bench_sweep
- * carries the end-to-end number).
+ * for the reductions, one normal for gaussian and one byte for the
+ * checksum.  Batch sizes use a hot size (4096) large enough that call
+ * overhead amortizes out — the point is kernel body throughput, not
+ * call cost (bench_sweep carries the end-to-end number).
  *
  * Timing is best-of-reps over a fixed iteration budget per kernel; the
  * whole binary stays well under a second so the regression gate can
@@ -20,24 +22,21 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "sim/alias_sampler.h"
 #include "sim/kernels.h"
 #include "sim/rng.h"
-#include "sim/simd.h"
 
 namespace kernels = smartconf::sim::kernels;
-namespace simd = smartconf::sim::simd;
 using smartconf::sim::AliasTable;
 using smartconf::sim::Rng;
 
 namespace {
 
 constexpr std::size_t kWords = 4096;  ///< uint64 elements per batch
-constexpr std::size_t kBytes = 65536; ///< checksum/copy payload
+constexpr std::size_t kBytes = 65536; ///< checksum payload
 
 /** Best-of-reps ns/element for @p body run @p iters times per rep. */
 template <typename Body>
@@ -63,8 +62,8 @@ nsPerElement(std::size_t elements, int iters, Body &&body)
 struct Row
 {
     const char *name;
-    double active_ns = 0.0;
-    double scalar_ns = 0.0;
+    double ns = 0.0;
+    double reference_ns = 0.0; ///< 0 when the kernel has one body
 };
 
 /** volatile sink so reductions/checksums cannot be optimized away. */
@@ -82,14 +81,11 @@ main(int argc, char **argv)
 
     // Inputs are built once and reused; every kernel reads fresh from
     // L1/L2, which is how the hot loops use them (scratch buffers).
-    std::vector<std::uint64_t> words(kWords);
     std::vector<std::uint64_t> scratch(kWords);
     std::vector<double> doubles(kWords);
+    std::vector<double> normals(kWords);
     std::vector<unsigned char> bytes(kBytes);
-    std::vector<unsigned char> dst(kBytes);
     Rng seedr(0xbe7c4);
-    for (auto &w : words)
-        w = seedr.next();
     for (auto &d : doubles)
         d = seedr.uniform(-1e6, 1e6);
     for (auto &b : bytes)
@@ -97,85 +93,80 @@ main(int argc, char **argv)
     const auto table = AliasTable::zipfian(100000, 0.99);
     Rng rng(1);
 
-    Row rows[] = {
-        {"rng_fill"},      {"alias_sample"}, {"reduce_sum"},
-        {"reduce_minmax"}, {"checksum"},     {"copy"},
-        {"gaussian"},
+    using AliasFn = void (*)(const std::uint64_t *, std::uint64_t,
+                             std::uint64_t *, std::size_t);
+    using GaussFn = void (*)(const std::uint64_t *, double *, std::size_t);
+    // End-to-end Zipfian draw (fillRaw + aliasResolve), the shape the
+    // workload generators use per tick.
+    const auto alias = [&](AliasFn resolve) {
+        return nsPerElement(kWords, 400, [&] {
+            rng.fillRaw(scratch.data(), kWords);
+            resolve(table->entries(), table->size(), scratch.data(),
+                    kWords);
+        });
     };
-    const auto run_all = [&](bool scalar) {
-        const auto set = [&](Row &row, double v) {
-            (scalar ? row.scalar_ns : row.active_ns) = v;
-        };
-        set(rows[0], nsPerElement(kWords, 400, [&] {
-                rng.fillRaw(scratch.data(), kWords);
-            }));
-        // End-to-end Zipfian draw (fillRaw + aliasResolve), the shape
-        // the workload generators actually use per tick.
-        set(rows[1], nsPerElement(kWords, 400, [&] {
-                table->sampleBatch(rng, scratch.data(), kWords);
-            }));
-        set(rows[2], nsPerElement(kWords, 400, [&] {
-                g_sink = static_cast<std::uint64_t>(
-                    kernels::reduceSum(doubles.data(), kWords));
-            }));
-        set(rows[3], nsPerElement(kWords, 400, [&] {
-                const kernels::MinMax m =
-                    kernels::reduceMinMax(doubles.data(), kWords);
-                g_sink = static_cast<std::uint64_t>(m.min + m.max);
-            }));
-        set(rows[4], nsPerElement(kBytes, 100, [&] {
-                g_sink = kernels::checksum(bytes.data(), kBytes);
-            }));
-        set(rows[5], nsPerElement(kBytes, 100, [&] {
-                kernels::copyBytes(dst.data(), bytes.data(), kBytes);
-            }));
-        // End-to-end normal draw (fillRaw + polynomial Box-Muller),
-        // the YCSB size-jitter path; element = one normal.
-        set(rows[6], nsPerElement(kWords, 400, [&] {
-                rng.gaussianBatch(0.0, 1.0, doubles.data(), kWords);
-            }));
+    // End-to-end normal draw (fillRaw + polynomial Box-Muller), the
+    // YCSB size-jitter path; element = one normal.
+    const auto gaussian = [&](GaussFn pairs) {
+        return nsPerElement(kWords, 400, [&] {
+            rng.fillRaw(scratch.data(), kWords);
+            pairs(scratch.data(), normals.data(), kWords / 2);
+        });
     };
 
-    // Active level first (honours SMARTCONF_ISA), then the pinned
-    // scalar reference for the speedup column.
-    const simd::Isa active = kernels::activeIsa();
-    run_all(false);
-    kernels::setIsa(simd::Isa::Scalar);
-    run_all(true);
-    kernels::setIsa(active);
+    const Row rows[] = {
+        {"rng_fill", nsPerElement(kWords, 400, [&] {
+             rng.fillRaw(scratch.data(), kWords);
+         })},
+        {"alias_sample", alias(kernels::aliasResolve),
+         alias(kernels::reference::aliasResolve)},
+        {"reduce_sum", nsPerElement(kWords, 400, [&] {
+             g_sink = static_cast<std::uint64_t>(
+                 kernels::reduceSum(doubles.data(), doubles.size()));
+         })},
+        {"reduce_minmax", nsPerElement(kWords, 400, [&] {
+             const kernels::MinMax m =
+                 kernels::reduceMinMax(doubles.data(), doubles.size());
+             g_sink = static_cast<std::uint64_t>(m.min + m.max);
+         })},
+        {"checksum", nsPerElement(kBytes, 100, [&] {
+             g_sink = kernels::checksum(bytes.data(), kBytes);
+         })},
+        {"gaussian", gaussian(kernels::gaussianPairs),
+         gaussian(kernels::reference::gaussianPairs)},
+    };
+    const char *isa = kernels::hasAvx2() ? "avx2" : "scalar";
 
     if (json) {
         std::printf("{\n");
         std::printf("  \"bench\": \"bench_micro_kernels\",\n");
-        std::printf("  \"isa_detected\": \"%s\",\n",
-                    simd::name(simd::detected()));
-        std::printf("  \"isa_active\": \"%s\",\n", simd::name(active));
+        std::printf("  \"isa_detected\": \"%s\",\n", isa);
+        std::printf("  \"isa_active\": \"%s\",\n", isa);
         std::printf("  \"kernels\": [\n");
         const std::size_t n = sizeof rows / sizeof rows[0];
         for (std::size_t i = 0; i < n; ++i) {
-            std::printf("    {\"name\": \"%s\", "
-                        "\"ns_per_element\": %.4f, "
-                        "\"scalar_ns_per_element\": %.4f, "
-                        "\"speedup_vs_scalar\": %.2f}%s\n",
-                        rows[i].name, rows[i].active_ns,
-                        rows[i].scalar_ns,
-                        rows[i].active_ns > 0.0
-                            ? rows[i].scalar_ns / rows[i].active_ns
-                            : 0.0,
-                        i + 1 < n ? "," : "");
+            const Row &row = rows[i];
+            std::printf("    {\"name\": \"%s\", \"ns_per_element\": %.4f",
+                        row.name, row.ns);
+            if (row.reference_ns > 0.0)
+                std::printf(", \"reference_ns_per_element\": %.4f, "
+                            "\"speedup_vs_reference\": %.2f",
+                            row.reference_ns, row.reference_ns / row.ns);
+            std::printf("}%s\n", i + 1 < n ? "," : "");
         }
         std::printf("  ]\n}\n");
         return 0;
     }
 
-    std::printf("SIMD kernel microbenchmarks (isa: %s, scalar "
-                "reference in parens)\n\n",
-                simd::name(active));
-    for (const Row &row : rows)
-        std::printf("%-14s %8.3f ns/elem  (scalar %8.3f, %.2fx)\n",
-                    row.name, row.active_ns, row.scalar_ns,
-                    row.active_ns > 0.0
-                        ? row.scalar_ns / row.active_ns
-                        : 0.0);
+    std::printf("Kernel microbenchmarks (isa: %s; scalar reference in "
+                "parens for the AVX2 kernels)\n\n",
+                isa);
+    for (const Row &row : rows) {
+        std::printf("%-14s %8.3f ns/elem", row.name, row.ns);
+        if (row.reference_ns > 0.0)
+            std::printf("  (reference %8.3f, %.2fx)", row.reference_ns,
+                        row.reference_ns / row.ns);
+        std::printf("\n");
+    }
     return 0;
 }

@@ -31,7 +31,6 @@
 #include "scenarios/scenario.h"
 #include "sim/kernels.h"
 #include "sim/shard.h"
-#include "sim/simd.h"
 
 int
 main(int argc, char **argv)
@@ -134,15 +133,15 @@ main(int argc, char **argv)
         std::printf("  \"bench\": \"bench_sweep\",\n");
         // Host capabilities on one line so the regression gate can
         // both exclude it from the payload hash and warn when a
-        // recorded baseline came from a different machine/ISA.
+        // recorded baseline came from a different machine/ISA.  Both
+        // ISA keys name the kernel bodies this process runs.
+        const char *isa =
+            smartconf::sim::kernels::hasAvx2() ? "avx2" : "scalar";
         std::printf("  \"host\": {\"cpus\": %u, \"isa_detected\": "
                     "\"%s\", \"isa_active\": \"%s\", \"compiler\": "
                     "\"%s\"},\n",
                     std::thread::hardware_concurrency(),
-                    smartconf::sim::simd::name(
-                        smartconf::sim::simd::detected()),
-                    smartconf::sim::simd::name(
-                        smartconf::sim::kernels::activeIsa()),
+                    isa, isa,
                     __VERSION__);
         std::printf("  \"jobs\": %zu,\n", runner.jobs());
         std::printf("  \"runs\": %zu,\n", jobs.size());

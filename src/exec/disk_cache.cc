@@ -1,6 +1,5 @@
 #include "exec/disk_cache.h"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -10,8 +9,6 @@
 namespace smartconf::exec {
 
 namespace {
-
-constexpr char kLegacyMagic[4] = {'S', 'C', 'R', 'C'};
 
 /** Append-only little buffer writer (native endianness: the cache is a
  *  single-machine artifact, never shipped between hosts). */
@@ -40,15 +37,14 @@ class Writer
         // (asserted below), so the curve round-trips as one block copy.
         // A result carries up to hundreds of thousands of points; bulk
         // I/O is what keeps warm process start-up in the market for
-        // "faster than simulating".  The block goes through the kernel
-        // layer's widened copy rather than insert()'s element path.
+        // "faster than simulating".
         static_assert(sizeof(sim::TimeSeries::Point) == 16,
                       "Point must pack to 16 bytes for bulk series I/O");
         const std::size_t bytes = ts.points().size() * 16;
         const std::size_t off = buf_.size();
         buf_.resize(off + bytes);
-        sim::kernels::copyBytes(buf_.data() + off, ts.points().data(),
-                                bytes);
+        if (bytes != 0) // an empty series' data() may be null
+            std::memcpy(buf_.data() + off, ts.points().data(), bytes);
     }
     std::vector<char> take() { return std::move(buf_); }
     const std::vector<char> &bytes() const { return buf_; }
@@ -70,7 +66,8 @@ class Reader
     {
         if (pos_ + n > size_)
             return false;
-        sim::kernels::copyBytes(out, data_ + pos_, n);
+        if (n != 0) // an empty vector's data() may be null
+            std::memcpy(out, data_ + pos_, n);
         pos_ += n;
         return true;
     }
@@ -107,8 +104,7 @@ class Reader
     }
     bool atEnd() const { return pos_ == size_; }
 
-    /** Unconsumed remainder (for whole-payload checksumming). */
-    const char *rest() const { return data_ + pos_; }
+    /** Unconsumed byte count (bounds a length field before allocating). */
     std::size_t restSize() const { return size_ - pos_; }
 
   private:
@@ -126,12 +122,10 @@ DiskRunCache::DiskRunCache(std::string root)
 DiskRunCache::DiskRunCache(std::string root,
                            store::SegmentStore::Options opts)
 {
-    const std::string r = std::move(root);
-    dir_ = versionDir(r);
+    dir_ = versionDir(root);
     opts.format = kFormatVersion;
     opts.engine = kEngineVersion;
     store_ = std::make_unique<store::SegmentStore>(dir_, opts);
-    migrateLegacy(r);
 }
 
 DiskRunCache::~DiskRunCache() = default; // ~SegmentStore flushes
@@ -140,13 +134,6 @@ std::string
 DiskRunCache::versionDir(const std::string &root)
 {
     return root + "/v" + std::to_string(kFormatVersion) + "-e" +
-           std::to_string(kEngineVersion);
-}
-
-std::string
-DiskRunCache::legacyDir(const std::string &root)
-{
-    return root + "/v" + std::to_string(kLegacyFormatVersion) + "-e" +
            std::to_string(kEngineVersion);
 }
 
@@ -275,80 +262,6 @@ DiskRunCache::usable()
         checked_ = true;
     }
     return !cache_off_;
-}
-
-void
-DiskRunCache::migrateLegacy(const std::string &root)
-{
-    namespace fs = std::filesystem;
-    const std::string legacy = legacyDir(root);
-    std::error_code ec;
-    if (!fs::is_directory(legacy, ec))
-        return;
-
-    // One-shot wholesale migration: every v5 entry for the *current*
-    // engine whose checksum still verifies is re-stored verbatim (the
-    // payload byte layout is unchanged between formats 5 and 6).
-    // Anything torn, foreign, or bit-flipped is orphaned and counted.
-    for (fs::directory_iterator it(legacy, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        if (!it->is_regular_file(ec) ||
-            it->path().extension() != ".bin")
-            continue;
-        std::FILE *f = std::fopen(it->path().c_str(), "rb");
-        if (!f) {
-            ++orphaned_;
-            continue;
-        }
-        std::vector<char> data;
-        if (std::fseek(f, 0, SEEK_END) == 0) {
-            const long endpos = std::ftell(f);
-            if (endpos > 0 && std::fseek(f, 0, SEEK_SET) == 0) {
-                data.resize(static_cast<std::size_t>(endpos));
-                if (std::fread(data.data(), 1, data.size(), f) !=
-                    data.size())
-                    data.clear();
-            }
-        }
-        std::fclose(f);
-
-        Reader r(data.data(), data.size());
-        char magic[4];
-        std::uint32_t format = 0, engine = 0;
-        std::string key;
-        std::uint64_t sum = 0;
-        const bool header_ok =
-            !data.empty() && r.raw(magic, 4) &&
-            std::memcmp(magic, kLegacyMagic, 4) == 0 && r.u32(format) &&
-            format == kLegacyFormatVersion && r.u32(engine) &&
-            engine == kEngineVersion && r.str(key) && r.u64(sum) &&
-            sum == checksum64(r.rest(), r.restSize());
-        if (!header_ok ||
-            !store_->put(key, r.rest(), r.restSize(), sum)) {
-            ++orphaned_;
-            continue;
-        }
-        ++migrated_;
-    }
-
-    if (migrated_ > 0 && usable())
-        store_->flush();
-
-    // Retire the old layout so the next construction skips this pass.
-    // A failed rename leaves it in place; re-migration is idempotent
-    // (duplicate keys dedup on compaction, newest wins).
-    const std::string retired = legacy + ".migrated";
-    fs::remove_all(retired, ec);
-    fs::rename(legacy, retired, ec);
-
-    if (migrated_ > 0 || orphaned_ > 0)
-        std::fprintf(stderr,
-                     "[disk-cache] migrated %llu v5 entr%s to the "
-                     "segment store, orphaned %llu, from %s\n",
-                     static_cast<unsigned long long>(migrated_),
-                     migrated_ == 1 ? "y" : "ies",
-                     static_cast<unsigned long long>(orphaned_),
-                     legacy.c_str());
 }
 
 } // namespace smartconf::exec

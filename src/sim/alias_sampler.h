@@ -67,7 +67,7 @@ class AliasTable
      * serial sample() calls, in the same Rng stream positions.  The
      * raw words come from Rng::fillRaw() (serial-stream-equivalent
      * batch generation) and the slot/accept/alias resolution runs
-     * through the SIMD kernel layer (packed-uint64 entries, AVX2
+     * through kernels::aliasResolve (packed-uint64 entries, AVX2
      * gathers where available; see sim/kernels.h).
      */
     void sampleBatch(Rng &rng, std::uint64_t *out,
@@ -81,6 +81,13 @@ class AliasTable
 
     /** Population size n. */
     std::size_t size() const { return static_cast<std::size_t>(n_); }
+
+    /**
+     * Packed slot entries, size() of them, in the layout
+     * kernels::aliasResolve reads (tests and benches run the kernel
+     * bodies on real tables through this).
+     */
+    const std::uint64_t *entries() const { return entries_.data(); }
 
     /** Sum of the input weights (for Zipf weights this is zeta(n)). */
     double weightSum() const { return weight_sum_; }

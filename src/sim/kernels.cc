@@ -1,96 +1,20 @@
 #include "sim/kernels.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 /*
- * Backend layout.  The scalar namespace is the canonical definition of
- * every kernel; the sse2/avx2 namespaces re-implement the same math on
- * wider registers and are compiled only when the build enables them
- * (-DSMARTCONF_SIMD=ON, the default) on an x86 target.  Each SIMD
- * function carries a gcc/clang `target` attribute instead of the whole
- * TU being built with -mavx2, so the compiler can never leak AVX2
- * instructions into code that runs on narrower hosts.
+ * Layout.  The reference namespace holds the scalar definitions of the
+ * two kernels that also have an AVX2 body; the other kernels are
+ * defined directly in kernels::.  The AVX2 bodies are compiled only on
+ * x86-64, and each carries a gcc/clang `target("avx2")` attribute
+ * instead of the whole TU being built with -mavx2, so no AVX2
+ * instruction can leak into code that runs on narrower hosts.
  */
-#if defined(SMARTCONF_SIMD_ENABLED) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define SMARTCONF_SIMD_X86 1
+#ifdef __x86_64__
 #include <immintrin.h>
 #endif
 
-namespace smartconf::sim {
-
-namespace simd {
-
-const char *
-name(Isa isa)
-{
-    switch (isa) {
-    case Isa::Sse2:
-        return "sse2";
-    case Isa::Avx2:
-        return "avx2";
-    case Isa::Scalar:
-    default:
-        return "scalar";
-    }
-}
-
-bool
-parse(std::string_view text, Isa &out)
-{
-    if (text == "scalar") {
-        out = Isa::Scalar;
-        return true;
-    }
-    if (text == "sse2") {
-        out = Isa::Sse2;
-        return true;
-    }
-    if (text == "avx2") {
-        out = Isa::Avx2;
-        return true;
-    }
-    return false;
-}
-
-bool
-compiledIn()
-{
-#ifdef SMARTCONF_SIMD_X86
-    return true;
-#else
-    return false;
-#endif
-}
-
-Isa
-detected()
-{
-#ifdef SMARTCONF_SIMD_X86
-    static const Isa level = [] {
-        if (__builtin_cpu_supports("avx2"))
-            return Isa::Avx2;
-        if (__builtin_cpu_supports("sse2"))
-            return Isa::Sse2;
-        return Isa::Scalar;
-    }();
-    return level;
-#else
-    return Isa::Scalar;
-#endif
-}
-
-bool
-supported(Isa isa)
-{
-    return static_cast<int>(isa) <= static_cast<int>(detected());
-}
-
-} // namespace simd
-
-namespace kernels {
+namespace smartconf::sim::kernels {
 
 namespace {
 
@@ -104,12 +28,7 @@ rotl64(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
-// ---------------------------------------------------------------- scalar
-// The reference implementations.  Note the reductions spell out the
-// four-lane accumulation literally: these loops *are* the definition
-// the vector backends must reproduce bit-for-bit.
-
-namespace scalar {
+} // namespace
 
 void
 rngOutputMap(std::uint64_t *words, std::size_t n)
@@ -118,21 +37,8 @@ rngOutputMap(std::uint64_t *words, std::size_t n)
         words[i] = rotl64(words[i] * 5, 7) * 9;
 }
 
-void
-aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
-             std::uint64_t *words, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t w = words[i];
-        const auto slot =
-            static_cast<std::uint32_t>(((w >> 32) * n_slots) >> 32);
-        const std::uint64_t entry = entries[slot];
-        words[i] = static_cast<std::uint32_t>(w) <
-                           static_cast<std::uint32_t>(entry >> 32)
-                       ? slot
-                       : static_cast<std::uint32_t>(entry);
-    }
-}
+// The reductions spell out the four-lane accumulation literally: these
+// loops *are* the pinned order the header documents.
 
 double
 reduceSum(const double *x, std::size_t n)
@@ -211,16 +117,27 @@ checksum(const void *data, std::size_t len)
     return h;
 }
 
+namespace reference {
+
 void
-copyBytes(void *dst, const void *src, std::size_t n)
+aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
+             std::uint64_t *words, std::size_t n)
 {
-    if (n != 0)
-        std::memcpy(dst, src, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t w = words[i];
+        const auto slot =
+            static_cast<std::uint32_t>(((w >> 32) * n_slots) >> 32);
+        const std::uint64_t entry = entries[slot];
+        words[i] = static_cast<std::uint32_t>(w) <
+                           static_cast<std::uint32_t>(entry >> 32)
+                       ? slot
+                       : static_cast<std::uint32_t>(entry);
+    }
 }
 
 // Gaussian-pair body (kernels_gauss.inc) on plain doubles.  The ops
 // all lower to bare IEEE scalar instructions, so this reference is
-// what the vector backends' lanes must match bit-for-bit.
+// what the AVX2 body's lanes must match bit-for-bit.
 #define GK_FN static inline
 #define GK_D double
 #define GK_I std::uint64_t
@@ -277,280 +194,17 @@ gaussianPairs(const std::uint64_t *words, double *z, std::size_t pairs)
     }
 }
 
-} // namespace scalar
+} // namespace reference
 
-#ifdef SMARTCONF_SIMD_X86
+#ifdef __x86_64__
 
-// ----------------------------------------------------------------- sse2
-// 128-bit backend: two registers stand in for the four virtual lanes
-// (A = lanes {0,1}, B = lanes {2,3}), so the combine step
-// A op B = {L0 op L2, L1 op L3} reproduces the scalar reference's
-// (L0 op L2) op (L1 op L3) exactly.
+// 256-bit bodies: one register holds four lanes, and the alias kernel
+// uses hardware gathers.  Every function carries the avx2 target
+// attribute (the TU itself is compiled for the baseline ISA).
 
-namespace sse2 {
-
-void
-rngOutputMap(std::uint64_t *words, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m128i x = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(words + i));
-        const __m128i x5 = _mm_add_epi64(_mm_slli_epi64(x, 2), x);
-        const __m128i r = _mm_or_si128(_mm_slli_epi64(x5, 7),
-                                       _mm_srli_epi64(x5, 57));
-        x = _mm_add_epi64(_mm_slli_epi64(r, 3), r);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(words + i), x);
-    }
-    if (i < n)
-        words[i] = rotl64(words[i] * 5, 7) * 9;
-}
-
-void
-aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
-             std::uint64_t *words, std::size_t n)
-{
-    // Slot selection vectorizes (pmuludq exists in SSE2); the gather
-    // and the 64-bit compare/select do not, so they stay scalar.
-    const __m128i nvec =
-        _mm_set1_epi64x(static_cast<long long>(n_slots));
-    std::size_t i = 0;
-    alignas(16) std::uint64_t slot[2];
-    for (; i + 2 <= n; i += 2) {
-        const __m128i w = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(words + i));
-        const __m128i hi = _mm_srli_epi64(w, 32);
-        _mm_store_si128(
-            reinterpret_cast<__m128i *>(slot),
-            _mm_srli_epi64(_mm_mul_epu32(hi, nvec), 32));
-        for (int k = 0; k < 2; ++k) {
-            const std::uint64_t entry = entries[slot[k]];
-            words[i + k] =
-                static_cast<std::uint32_t>(words[i + k]) <
-                        static_cast<std::uint32_t>(entry >> 32)
-                    ? slot[k]
-                    : static_cast<std::uint32_t>(entry);
-        }
-    }
-    if (i < n)
-        scalar::aliasResolve(entries, n_slots, words + i, n - i);
-}
-
-double
-reduceSum(const double *x, std::size_t n)
-{
-    __m128d a = _mm_setzero_pd(); // lanes {0, 1}
-    __m128d b = _mm_setzero_pd(); // lanes {2, 3}
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        a = _mm_add_pd(a, _mm_loadu_pd(x + i));
-        b = _mm_add_pd(b, _mm_loadu_pd(x + i + 2));
-    }
-    const __m128d s = _mm_add_pd(a, b); // {L0+L2, L1+L3}
-    const double lo = _mm_cvtsd_f64(s);
-    const double hi = _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-    double total = lo + hi;
-    for (; i < n; ++i)
-        total += x[i];
-    return total;
-}
-
-MinMax
-reduceMinMax(const double *x, std::size_t n)
-{
-    constexpr double kInf = __builtin_inf();
-    __m128d mna = _mm_set1_pd(kInf), mnb = _mm_set1_pd(kInf);
-    __m128d mxa = _mm_set1_pd(-kInf), mxb = _mm_set1_pd(-kInf);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128d va = _mm_loadu_pd(x + i);
-        const __m128d vb = _mm_loadu_pd(x + i + 2);
-        mna = _mm_min_pd(va, mna);
-        mnb = _mm_min_pd(vb, mnb);
-        mxa = _mm_max_pd(va, mxa);
-        mxb = _mm_max_pd(vb, mxb);
-    }
-    const __m128d cn = _mm_min_pd(mna, mnb); // {f(L0,L2), f(L1,L3)}
-    const __m128d cx = _mm_max_pd(mxa, mxb);
-    const double cn0 = _mm_cvtsd_f64(cn);
-    const double cn1 = _mm_cvtsd_f64(_mm_unpackhi_pd(cn, cn));
-    const double cx0 = _mm_cvtsd_f64(cx);
-    const double cx1 = _mm_cvtsd_f64(_mm_unpackhi_pd(cx, cx));
-    MinMax r;
-    r.min = cn0 < cn1 ? cn0 : cn1;
-    r.max = cx0 > cx1 ? cx0 : cx1;
-    for (; i < n; ++i) {
-        r.min = x[i] < r.min ? x[i] : r.min;
-        r.max = x[i] > r.max ? x[i] : r.max;
-    }
-    return r;
-}
-
-/** (h ^ w) * kFnvPrime on two 64-bit lanes; the prime is 2^40 + 0x1b3,
- *  so the multiply decomposes into shift/add + two 32x32 products. */
-inline __m128i
-fnvStep(__m128i h, __m128i w)
-{
-    const __m128i p2 = _mm_set1_epi64x(0x1b3);
-    h = _mm_xor_si128(h, w);
-    const __m128i t0 = _mm_slli_epi64(h, 40);
-    const __m128i t1 = _mm_mul_epu32(h, p2);
-    const __m128i t2 =
-        _mm_slli_epi64(_mm_mul_epu32(_mm_srli_epi64(h, 32), p2), 32);
-    return _mm_add_epi64(_mm_add_epi64(t0, t1), t2);
-}
-
-std::uint64_t
-checksum(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    __m128i laneA = _mm_set_epi64x(
-        static_cast<long long>(kFnvBasis ^ (1 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (0 * kLaneGamma)));
-    __m128i laneB = _mm_set_epi64x(
-        static_cast<long long>(kFnvBasis ^ (3 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (2 * kLaneGamma)));
-    std::size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        laneA = fnvStep(laneA, _mm_loadu_si128(
-                                   reinterpret_cast<const __m128i *>(
-                                       p + i)));
-        laneB = fnvStep(laneB, _mm_loadu_si128(
-                                   reinterpret_cast<const __m128i *>(
-                                       p + i + 16)));
-    }
-    alignas(16) std::uint64_t lane[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(lane), laneA);
-    _mm_store_si128(reinterpret_cast<__m128i *>(lane + 2), laneB);
-    std::uint64_t h = kFnvBasis;
-    for (int j = 0; j < 4; ++j)
-        h = (h ^ lane[j]) * kFnvPrime;
-    for (; i + 8 <= len; i += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, p + i, 8);
-        h = (h ^ w) * kFnvPrime;
-    }
-    for (; i < len; ++i)
-        h = (h ^ p[i]) * kFnvPrime;
-    return h;
-}
-
-void
-copyBytes(void *dst, const void *src, std::size_t n)
-{
-    auto *d = static_cast<unsigned char *>(dst);
-    const auto *s = static_cast<const unsigned char *>(src);
-    while (n >= 32) {
-        const __m128i a =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(s));
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(s + 16));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(d), a);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(d + 16), b);
-        d += 32;
-        s += 32;
-        n -= 32;
-    }
-    if (n != 0)
-        std::memcpy(d, s, n);
-}
-
-// Gaussian-pair body on 128-bit lanes.  Identical operation sequence
-// to the scalar include; _mm_cmpgt_pd differs from _CMP_GT_OQ only on
-// NaN inputs, which gkLog's mantissa compare never sees.
-#define GK_FN static inline
-#define GK_D __m128d
-#define GK_I __m128i
-#define GK_SETD(c) _mm_set1_pd(c)
-#define GK_SETI(c) _mm_set1_epi64x(static_cast<long long>(c))
-#define GK_ADD(a, b) _mm_add_pd((a), (b))
-#define GK_SUB(a, b) _mm_sub_pd((a), (b))
-#define GK_MUL(a, b) _mm_mul_pd((a), (b))
-#define GK_DIV(a, b) _mm_div_pd((a), (b))
-#define GK_SQRT(a) _mm_sqrt_pd(a)
-#define GK_CASTDI(d) _mm_castpd_si128(d)
-#define GK_CASTID(i) _mm_castsi128_pd(i)
-#define GK_ANDI(a, b) _mm_and_si128((a), (b))
-#define GK_ORI(a, b) _mm_or_si128((a), (b))
-#define GK_XORI(a, b) _mm_xor_si128((a), (b))
-#define GK_ADDI(a, b) _mm_add_epi64((a), (b))
-#define GK_SUBI(a, b) _mm_sub_epi64((a), (b))
-#define GK_SHRI(v, k) _mm_srli_epi64((v), (k))
-#define GK_SHLI(v, k) _mm_slli_epi64((v), (k))
-#define GK_CMPGT(a, b) _mm_castpd_si128(_mm_cmpgt_pd((a), (b)))
-#define GK_SEL(m, a, b)                                         \
-    _mm_castsi128_pd(                                           \
-        _mm_or_si128(_mm_and_si128((m), _mm_castpd_si128(a)),   \
-                     _mm_andnot_si128((m), _mm_castpd_si128(b))))
-#include "sim/kernels_gauss.inc"
-#undef GK_FN
-#undef GK_D
-#undef GK_I
-#undef GK_SETD
-#undef GK_SETI
-#undef GK_ADD
-#undef GK_SUB
-#undef GK_MUL
-#undef GK_DIV
-#undef GK_SQRT
-#undef GK_CASTDI
-#undef GK_CASTID
-#undef GK_ANDI
-#undef GK_ORI
-#undef GK_XORI
-#undef GK_ADDI
-#undef GK_SUBI
-#undef GK_SHRI
-#undef GK_SHLI
-#undef GK_CMPGT
-#undef GK_SEL
-
-void
-gaussianPairs(const std::uint64_t *words, double *z, std::size_t pairs)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= pairs; i += 2) {
-        // a = {p0.w0, p0.w1}, b = {p1.w0, p1.w1}; unpack deinterleaves
-        // into w0 = {p0.w0, p1.w0}, w1 = {p0.w1, p1.w1}.
-        const __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(words + 2 * i));
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(words + 2 * i + 2));
-        __m128d z0, z1;
-        gkGaussPair(_mm_unpacklo_epi64(a, b), _mm_unpackhi_epi64(a, b),
-                    &z0, &z1);
-        _mm_storeu_pd(z + 2 * i, _mm_unpacklo_pd(z0, z1));
-        _mm_storeu_pd(z + 2 * i + 2, _mm_unpackhi_pd(z0, z1));
-    }
-    if (i < pairs)
-        scalar::gaussianPairs(words + 2 * i, z + 2 * i, pairs - i);
-}
-
-} // namespace sse2
-
-// ----------------------------------------------------------------- avx2
-// 256-bit backend: one register holds all four lanes, and the alias
-// kernel uses hardware gathers.  Every function carries the avx2
-// target attribute (the TU itself is compiled for the baseline ISA).
+namespace {
 
 namespace avx2 {
-
-__attribute__((target("avx2"))) void
-rngOutputMap(std::uint64_t *words, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(words + i));
-        const __m256i x5 = _mm256_add_epi64(_mm256_slli_epi64(x, 2), x);
-        const __m256i r = _mm256_or_si256(_mm256_slli_epi64(x5, 7),
-                                          _mm256_srli_epi64(x5, 57));
-        x = _mm256_add_epi64(_mm256_slli_epi64(r, 3), r);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(words + i), x);
-    }
-    for (; i < n; ++i)
-        words[i] = rotl64(words[i] * 5, 7) * 9;
-}
 
 __attribute__((target("avx2"))) void
 aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
@@ -578,115 +232,7 @@ aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
                             _mm256_blendv_epi8(alias, slot, take));
     }
     if (i < n)
-        scalar::aliasResolve(entries, n_slots, words + i, n - i);
-}
-
-__attribute__((target("avx2"))) double
-reduceSum(const double *x, std::size_t n)
-{
-    __m256d acc = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-    const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(acc),
-                                 _mm256_extractf128_pd(acc, 1));
-    const double lo = _mm_cvtsd_f64(s);
-    const double hi = _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-    double total = lo + hi;
-    for (; i < n; ++i)
-        total += x[i];
-    return total;
-}
-
-__attribute__((target("avx2"))) MinMax
-reduceMinMax(const double *x, std::size_t n)
-{
-    constexpr double kInf = __builtin_inf();
-    __m256d mn = _mm256_set1_pd(kInf);
-    __m256d mx = _mm256_set1_pd(-kInf);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d v = _mm256_loadu_pd(x + i);
-        mn = _mm256_min_pd(v, mn);
-        mx = _mm256_max_pd(v, mx);
-    }
-    const __m128d cn = _mm_min_pd(_mm256_castpd256_pd128(mn),
-                                  _mm256_extractf128_pd(mn, 1));
-    const __m128d cx = _mm_max_pd(_mm256_castpd256_pd128(mx),
-                                  _mm256_extractf128_pd(mx, 1));
-    const double cn0 = _mm_cvtsd_f64(cn);
-    const double cn1 = _mm_cvtsd_f64(_mm_unpackhi_pd(cn, cn));
-    const double cx0 = _mm_cvtsd_f64(cx);
-    const double cx1 = _mm_cvtsd_f64(_mm_unpackhi_pd(cx, cx));
-    MinMax r;
-    r.min = cn0 < cn1 ? cn0 : cn1;
-    r.max = cx0 > cx1 ? cx0 : cx1;
-    for (; i < n; ++i) {
-        r.min = x[i] < r.min ? x[i] : r.min;
-        r.max = x[i] > r.max ? x[i] : r.max;
-    }
-    return r;
-}
-
-__attribute__((target("avx2"))) inline __m256i
-fnvStep(__m256i h, __m256i w)
-{
-    const __m256i p2 = _mm256_set1_epi64x(0x1b3);
-    h = _mm256_xor_si256(h, w);
-    const __m256i t0 = _mm256_slli_epi64(h, 40);
-    const __m256i t1 = _mm256_mul_epu32(h, p2);
-    const __m256i t2 = _mm256_slli_epi64(
-        _mm256_mul_epu32(_mm256_srli_epi64(h, 32), p2), 32);
-    return _mm256_add_epi64(_mm256_add_epi64(t0, t1), t2);
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-checksum(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    __m256i lane = _mm256_set_epi64x(
-        static_cast<long long>(kFnvBasis ^ (3 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (2 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (1 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (0 * kLaneGamma)));
-    std::size_t i = 0;
-    for (; i + 32 <= len; i += 32)
-        lane = fnvStep(lane, _mm256_loadu_si256(
-                                 reinterpret_cast<const __m256i *>(
-                                     p + i)));
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), lane);
-    std::uint64_t h = kFnvBasis;
-    for (int j = 0; j < 4; ++j)
-        h = (h ^ lanes[j]) * kFnvPrime;
-    for (; i + 8 <= len; i += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, p + i, 8);
-        h = (h ^ w) * kFnvPrime;
-    }
-    for (; i < len; ++i)
-        h = (h ^ p[i]) * kFnvPrime;
-    return h;
-}
-
-__attribute__((target("avx2"))) void
-copyBytes(void *dst, const void *src, std::size_t n)
-{
-    auto *d = static_cast<unsigned char *>(dst);
-    const auto *s = static_cast<const unsigned char *>(src);
-    while (n >= 64) {
-        const __m256i a =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(s));
-        const __m256i b = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s + 32));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(d), a);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(d + 32), b);
-        d += 64;
-        s += 64;
-        n -= 64;
-    }
-    if (n != 0)
-        std::memcpy(d, s, n);
+        reference::aliasResolve(entries, n_slots, words + i, n - i);
 }
 
 // Gaussian-pair body on 256-bit lanes.  GK_FN carries the target
@@ -759,157 +305,49 @@ gaussianPairs(const std::uint64_t *words, double *z, std::size_t pairs)
         _mm256_storeu_pd(z + 2 * i + 4, _mm256_unpackhi_pd(z0, z1));
     }
     if (i < pairs)
-        scalar::gaussianPairs(words + 2 * i, z + 2 * i, pairs - i);
+        reference::gaussianPairs(words + 2 * i, z + 2 * i, pairs - i);
 }
 
 } // namespace avx2
 
-#endif // SMARTCONF_SIMD_X86
-
-// ------------------------------------------------------------- dispatch
-
-struct KernelTable
-{
-    void (*rng_output_map)(std::uint64_t *, std::size_t);
-    void (*alias_resolve)(const std::uint64_t *, std::uint64_t,
-                          std::uint64_t *, std::size_t);
-    double (*reduce_sum)(const double *, std::size_t);
-    MinMax (*reduce_minmax)(const double *, std::size_t);
-    std::uint64_t (*checksum)(const void *, std::size_t);
-    void (*copy_bytes)(void *, const void *, std::size_t);
-    void (*gaussian_pairs)(const std::uint64_t *, double *,
-                           std::size_t);
-    simd::Isa isa;
-};
-
-constexpr KernelTable kScalarTable = {
-    scalar::rngOutputMap, scalar::aliasResolve, scalar::reduceSum,
-    scalar::reduceMinMax, scalar::checksum,     scalar::copyBytes,
-    scalar::gaussianPairs, simd::Isa::Scalar,
-};
-
-#ifdef SMARTCONF_SIMD_X86
-constexpr KernelTable kSse2Table = {
-    sse2::rngOutputMap, sse2::aliasResolve, sse2::reduceSum,
-    sse2::reduceMinMax, sse2::checksum,     sse2::copyBytes,
-    sse2::gaussianPairs, simd::Isa::Sse2,
-};
-constexpr KernelTable kAvx2Table = {
-    avx2::rngOutputMap, avx2::aliasResolve, avx2::reduceSum,
-    avx2::reduceMinMax, avx2::checksum,     avx2::copyBytes,
-    avx2::gaussianPairs, simd::Isa::Avx2,
-};
-#endif
-
-const KernelTable *
-tableFor(simd::Isa isa)
-{
-#ifdef SMARTCONF_SIMD_X86
-    switch (isa) {
-    case simd::Isa::Avx2:
-        return &kAvx2Table;
-    case simd::Isa::Sse2:
-        return &kSse2Table;
-    default:
-        return &kScalarTable;
-    }
-#else
-    (void)isa;
-    return &kScalarTable;
-#endif
-}
-
-/**
- * Dispatch target.  Resolved lazily on first kernel call: SMARTCONF_ISA
- * (if set and parseable) clamped to simd::detected(), else detected().
- * A first-use race between sweep workers is benign — both resolve to
- * the same table.  setIsa() stores are only expected while no kernels
- * run concurrently (tests, bench setup).
- */
-std::atomic<const KernelTable *> g_table{nullptr};
-
-simd::Isa
-clampToDetected(simd::Isa isa)
-{
-    return simd::supported(isa) ? isa : simd::detected();
-}
-
-const KernelTable &
-table()
-{
-    const KernelTable *t = g_table.load(std::memory_order_acquire);
-    if (t == nullptr) {
-        simd::Isa isa = simd::detected();
-        if (const char *env = std::getenv("SMARTCONF_ISA")) {
-            simd::Isa requested;
-            if (simd::parse(env, requested))
-                isa = clampToDetected(requested);
-        }
-        t = tableFor(isa);
-        g_table.store(t, std::memory_order_release);
-    }
-    return *t;
-}
-
 } // namespace
 
-void
-rngOutputMap(std::uint64_t *words, std::size_t n)
+#endif // __x86_64__
+
+bool
+hasAvx2()
 {
-    table().rng_output_map(words, n);
+#ifdef __x86_64__
+    static const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+    return avx2;
+#else
+    return false;
+#endif
 }
 
 void
 aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
              std::uint64_t *words, std::size_t n)
 {
-    table().alias_resolve(entries, n_slots, words, n);
-}
-
-double
-reduceSum(const double *x, std::size_t n)
-{
-    return table().reduce_sum(x, n);
-}
-
-MinMax
-reduceMinMax(const double *x, std::size_t n)
-{
-    return table().reduce_minmax(x, n);
-}
-
-std::uint64_t
-checksum(const void *data, std::size_t len)
-{
-    return table().checksum(data, len);
-}
-
-void
-copyBytes(void *dst, const void *src, std::size_t n)
-{
-    table().copy_bytes(dst, src, n);
+#ifdef __x86_64__
+    if (hasAvx2()) {
+        avx2::aliasResolve(entries, n_slots, words, n);
+        return;
+    }
+#endif
+    reference::aliasResolve(entries, n_slots, words, n);
 }
 
 void
 gaussianPairs(const std::uint64_t *words, double *z, std::size_t pairs)
 {
-    table().gaussian_pairs(words, z, pairs);
+#ifdef __x86_64__
+    if (hasAvx2()) {
+        avx2::gaussianPairs(words, z, pairs);
+        return;
+    }
+#endif
+    reference::gaussianPairs(words, z, pairs);
 }
 
-simd::Isa
-activeIsa()
-{
-    return table().isa;
-}
-
-simd::Isa
-setIsa(simd::Isa isa)
-{
-    const simd::Isa clamped = clampToDetected(isa);
-    g_table.store(tableFor(clamped), std::memory_order_release);
-    return clamped;
-}
-
-} // namespace kernels
-
-} // namespace smartconf::sim
+} // namespace smartconf::sim::kernels

@@ -3,34 +3,31 @@
 
 /**
  * @file
- * Portable SIMD kernel layer for the data-plane hot loops.
+ * Kernel layer for the data-plane hot loops.
  *
- * PR 6 reshaped the per-event hot paths into batch form precisely so
- * they could be vectorized; this layer supplies the vector bodies.  Each
- * kernel exists in up to three backends (scalar / SSE2 / AVX2) behind a
- * runtime-dispatched function pointer, and the scalar implementation is
- * the *canonical definition* of the kernel's output:
+ * Every kernel has one scalar reference implementation, and that
+ * reference is the *canonical definition* of its output.  Two kernels,
+ * aliasResolve() and gaussianPairs(), also carry an AVX2 body (gathers
+ * and 4-wide Box-Muller); on an x86-64 host whose CPU reports AVX2 they
+ * run it, everywhere else they run the reference.  The choice is one
+ * branch on hasAvx2(), fixed for the life of the process.  The AVX2
+ * bodies are bit-identical to the reference: aliasResolve is pure
+ * integer math, and gaussianPairs runs the same sequence of correctly
+ * rounded IEEE ops on wider registers (kernels_gauss.inc, built with
+ * -ffp-contract=off).  The other kernels measured no faster with
+ * vector bodies (EXPERIMENTS.md), so they are plain functions.
  *
- *  - Integer kernels (PRNG output map, alias-table resolution, the
- *    checksum, byte copies) are bit-identical across backends, period.
- *  - Floating-point reductions are made bit-identical by pinning one
- *    accumulation order — four virtual lanes, element i feeding lane
- *    i % 4, combined as (L0 op L2) op (L1 op L3), tail elements folded
- *    serially afterwards — which every backend, including the scalar
- *    reference, implements literally.  256-bit registers hold lanes
- *    {0,1,2,3}; the SSE2 backend holds {0,1} and {2,3} in two
- *    registers; the scalar backend keeps four named accumulators.
+ * Floating-point reductions pin one accumulation order — four virtual
+ * lanes, element i feeding lane i % 4, combined as
+ * (L0 op L2) op (L1 op L3), tail elements folded serially afterwards —
+ * so their results do not depend on how the compiler vectorizes them.
  *
- * Dispatch is process-wide and resolved on first use from
- * SMARTCONF_ISA / CPUID (see sim/simd.h); setIsa() re-points it for
- * differential tests and benches.  All kernels are safe for concurrent
- * callers: they touch only their arguments.
+ * All kernels are safe for concurrent callers: they touch only their
+ * arguments.
  */
 
 #include <cstddef>
 #include <cstdint>
-
-#include "sim/simd.h"
 
 namespace smartconf::sim::kernels {
 
@@ -39,10 +36,9 @@ namespace smartconf::sim::kernels {
  * x -> rotl64(x * 5, 7) * 9.
  *
  * Rng::fillRaw() records the pre-transition s[1] state words (the
- * serial dependency) and lets this kernel apply the starify output
- * function lane-parallel — the multiplies decompose into shift+add
- * (x*5 = (x<<2)+x, x*9 = (x<<3)+x), so no 64-bit vector multiply is
- * needed and the result is the serial stream word-for-word.
+ * serial dependency) and applies the starstar output function to the
+ * whole buffer afterwards in one dependency-free loop; the result is
+ * the serial stream word-for-word.
  */
 void rngOutputMap(std::uint64_t *words, std::size_t n);
 
@@ -53,16 +49,14 @@ void rngOutputMap(std::uint64_t *words, std::size_t n);
  *   slot  = ((w >> 32) * n_slots) >> 32
  *   entry = entries[slot]
  *   out   = low32(w) < high32(entry) ? slot : low32(entry)
- * The AVX2 backend gathers four entries per step; all backends are
- * bit-identical (pure integer math).
+ * The AVX2 body gathers four entries per step.
  */
 void aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
                   std::uint64_t *words, std::size_t n);
 
 /**
  * Sum with the pinned lane-then-combine order described above.
- * Returns 0.0 for n == 0.  NaN/Inf propagate as IEEE addition does;
- * the fixed order keeps every backend's rounding identical.
+ * Returns 0.0 for n == 0.  NaN/Inf propagate as IEEE addition does.
  */
 double reduceSum(const double *x, std::size_t n);
 
@@ -78,7 +72,7 @@ struct MinMax
  *   min: m = (x < m) ? x : m      max: M = (x > M) ? x : M
  * — literally minpd/maxpd(x, acc) semantics, so a NaN observation
  * never replaces the accumulator (matching the pre-kernel scalar
- * std::max fold) and every backend agrees bitwise.
+ * std::max fold).
  */
 MinMax reduceMinMax(const double *x, std::size_t n);
 
@@ -91,19 +85,11 @@ MinMax reduceMinMax(const double *x, std::size_t n);
  *   remaining full words:  h = (h ^ w) * P
  *   trailing bytes:        h = (h ^ byte) * P
  * Interleaving breaks the serial multiply dependency FNV-1a has, so
- * the lanes vectorize (the *P multiply decomposes as
- * (h << 40) + lo32(h)*0x1b3 + ((hi32(h)*0x1b3) << 32), all of which
- * SSE2/AVX2 have).  Bit-identical across backends; NOT the same value
- * as the old word-serial checksum64, which is why DiskRunCache's
- * format version moved.
+ * the four lane multiplies overlap in the pipeline.  NOT the same
+ * value as the old word-serial checksum64, which is why
+ * DiskRunCache's format version moved.
  */
 std::uint64_t checksum(const void *data, std::size_t len);
-
-/**
- * memcpy with explicitly widened vector loads/stores on the SIMD
- * backends (two registers per step).  Ranges must not overlap.
- */
-void copyBytes(void *dst, const void *src, std::size_t n);
 
 /**
  * Box-Muller: 2*pairs raw PRNG words -> 2*pairs standard normals.
@@ -114,24 +100,37 @@ void copyBytes(void *dst, const void *src, std::size_t n);
  *   z[2i] = mag * cos(2 pi u2),  z[2i+1] = mag * sin(2 pi u2)
  * ln and sin/cos are evaluated from fixed polynomials inside the
  * kernel (see sim/kernels_gauss.inc) rather than libm, so the kernel —
- * not the host's math library — defines the stream, and every backend
- * is bit-identical (the TU is built with -ffp-contract=off and uses
- * only correctly-rounded IEEE ops).  Accuracy vs. libm is ~1e-15
+ * not the host's math library — defines the stream, and the AVX2 body
+ * is bit-identical to the reference (the TU is built with
+ * -ffp-contract=off and uses only correctly-rounded IEEE ops).
+ * Accuracy vs. libm is ~1e-15
  * relative, far below the noise this kernel generates.  This is the
  * engine behind Rng::gaussian()/gaussianBatch().
  */
 void gaussianPairs(const std::uint64_t *words, double *z,
                    std::size_t pairs);
 
-/** Level the kernel table currently dispatches to. */
-simd::Isa activeIsa();
+/**
+ * True when this process runs the AVX2 bodies of aliasResolve() and
+ * gaussianPairs(): an x86-64 build on a CPU that reports AVX2.
+ * Detected once, on first call.
+ */
+bool hasAvx2();
 
 /**
- * Re-point dispatch at @p isa, clamped to simd::detected().  Returns
- * the level actually installed.  Intended for differential tests and
- * benches; not thread-safe against concurrently running kernels.
+ * The scalar references of the two kernels with an AVX2 body, callable
+ * directly so tests and benches can compare the dispatched body with
+ * the definition.
  */
-simd::Isa setIsa(simd::Isa isa);
+namespace reference {
+
+void aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
+                  std::uint64_t *words, std::size_t n);
+
+void gaussianPairs(const std::uint64_t *words, double *z,
+                   std::size_t pairs);
+
+} // namespace reference
 
 } // namespace smartconf::sim::kernels
 

@@ -94,12 +94,12 @@ class TimeSeries
  * Latency/size distribution summary.
  *
  * Count, sum, min and max are maintained *streaming*, at record time,
- * through the SIMD kernel layer: recordBatch() reduces the incoming
+ * through the kernel layer: recordBatch() reduces the incoming
  * array with the kernels' pinned lane-then-combine accumulation order
  * (sim/kernels.h) and folds the partial into the running aggregates,
  * so mean()/min()/max() are O(1) queries instead of full scans.  The
  * scalar record() path uses the same per-element rules, which makes
- * every aggregate bit-identical across SIMD dispatch levels — but the
+ * every aggregate independent of how the compiler vectorizes — but the
  * floating-point *sum* does depend on how observations are grouped
  * into batches (a batch is reduced lane-wise before joining the
  * running sum).  Call shapes are deterministic in this codebase, so
@@ -144,7 +144,7 @@ class Histogram
     /**
      * Append @p n observations from a contiguous array.  The batch
      * form of the per-event record() loop: one range insert, one
-     * SIMD reduction for the streaming aggregates, and a single
+     * lane-order reduction for the streaming aggregates, and a single
      * sorted-flag invalidation.  The recorded *sequence* matches @p n
      * scalar calls; the running sum receives the batch's lane-combined
      * partial (see the class comment).

@@ -36,8 +36,8 @@ Rng::fillRaw(std::uint64_t *out, std::size_t n)
     // Phase 1 (serial): walk the state, recording each step's
     // pre-transition s[1] — the only word the output map reads.  This
     // is cheaper than next() per word (no multiplies) and is the part
-    // that cannot vectorize.  Phase 2 (parallel): the kernel applies
-    // rotl(x*5, 7)*9 to the whole buffer in SIMD lanes.
+    // that cannot vectorize.  Phase 2 (independent per word): the
+    // kernel applies rotl(x*5, 7)*9 to the whole buffer.
     for (std::size_t i = 0; i < n; ++i) {
         out[i] = s_[1];
         advance();
@@ -63,8 +63,8 @@ Rng::gaussian(double mean, double stddev)
         return mean + stddev * spare_;
     }
     // Inline next() twice instead of fillRaw(w, 2): same words, but a
-    // single-pair draw doesn't amortize the batch path's two dispatch
-    // hops (per-tick batch-size draws hit this at scenario-tick rate).
+    // single-pair draw doesn't amortize the batch path's two kernel
+    // calls (per-tick batch-size draws hit this at scenario-tick rate).
     std::uint64_t w[2];
     w[0] = next();
     w[1] = next();

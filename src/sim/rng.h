@@ -44,7 +44,7 @@ class Rng
      * in the same order, as @p n successive next() calls (and the
      * generator lands in the same state).  The serial part of xoshiro
      * is only the state transition; fillRaw records the per-step s[1]
-     * words and applies the output map through the SIMD kernel layer
+     * words and applies the output map in one kernel call
      * (sim/kernels.h), so wide batches beat the call-per-word loop
      * while remaining stream-identical to it.
      */

@@ -31,12 +31,12 @@
  * self-describing so `verify` can cross-check the index against them
  * and a future rebuild pass could regenerate a damaged index.
  *
- * Checksum coverage (sim/kernels::checksum, bit-identical across ISA
- * levels): the header checks itself, the index block (entries + key
- * blob) is checked as a whole before any entry is trusted, and each
- * payload is checked against the per-entry checksum on read.  Record
- * headers are deliberately outside the read path: a flip there leaves
- * lookups serving the still-intact payload.
+ * Checksum coverage (sim/kernels::checksum): the header checks
+ * itself, the index block (entries + key blob) is checked as a whole
+ * before any entry is trusted, and each payload is checked against
+ * the per-entry checksum on read.  Record headers are deliberately
+ * outside the read path: a flip there leaves lookups serving the
+ * still-intact payload.
  */
 
 #include <cstddef>

@@ -65,7 +65,7 @@ class YcsbGenerator
      * struct-of-arrays: the op count is drawn once, then the tick's
      * type coins, Zipfian keys and Box-Muller size jitter are each
      * produced as kernel-layer batches (Rng::fillRaw +
-     * AliasTable::sampleBatch + Rng::gaussianBatch — SIMD lanes, one
+     * AliasTable::sampleBatch + Rng::gaussianBatch — one
      * PRNG word per coin/key, two per jitter pair).
      */
     void tickInto(std::vector<Op> &out);

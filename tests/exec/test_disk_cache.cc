@@ -193,6 +193,45 @@ TEST_F(DiskRunCacheTest, VersionBumpInvalidatesByConstruction)
     EXPECT_TRUE(fs::exists(dir));
 }
 
+TEST_F(DiskRunCacheTest, LeftoverV5LayoutIsIgnored)
+{
+    // A well-formed format-5 entry (one file per key, "SCRC" header)
+    // for the current engine.  The store neither reads nor removes it:
+    // results are regenerable, so an old layout just costs a re-run.
+    const std::string legacy =
+        root_ + "/v5-e" + std::to_string(DiskRunCache::kEngineVersion);
+    fs::create_directories(legacy);
+    const std::string key = "stale-key";
+    const std::vector<char> payload =
+        DiskRunCache::serializeResult(sampleResult());
+    const std::uint32_t format = 5, engine = DiskRunCache::kEngineVersion;
+    const std::uint64_t klen = key.size();
+    const std::uint64_t sum =
+        DiskRunCache::checksum64(payload.data(), payload.size());
+    const std::string file = legacy + "/entry.bin";
+    {
+        std::FILE *f = std::fopen(file.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite("SCRC", 1, 4, f);
+        std::fwrite(&format, 4, 1, f);
+        std::fwrite(&engine, 4, 1, f);
+        std::fwrite(&klen, 8, 1, f);
+        std::fwrite(key.data(), 1, key.size(), f);
+        std::fwrite(&sum, 8, 1, f);
+        std::fwrite(payload.data(), 1, payload.size(), f);
+        ASSERT_EQ(std::fclose(f), 0);
+    }
+    const auto size_before = fs::file_size(file);
+
+    DiskRunCache cache(root_);
+    scenarios::ScenarioResult out;
+    EXPECT_FALSE(cache.load(key, out)) << "v5 entry was read";
+    ASSERT_TRUE(cache.store("fresh", sampleResult()));
+    EXPECT_TRUE(cache.load("fresh", out));
+    ASSERT_TRUE(fs::exists(file)) << "v5 layout was touched";
+    EXPECT_EQ(fs::file_size(file), size_before);
+}
+
 TEST_F(DiskRunCacheTest, RunCacheSpillsAndReloadsAcrossInstances)
 {
     int simulations = 0;
