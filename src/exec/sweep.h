@@ -6,8 +6,8 @@
  * Parallel experiment sweeps.
  *
  * Every figure/table harness evaluates many independent
- * (scenario, policy, seed) runs; each run owns its own simulated clock,
- * event queue and RNG, so they parallelize trivially.  SweepRunner fans
+ * (scenario, policy, seed) runs; each run owns its own plant,
+ * controller and RNG, so they parallelize trivially.  SweepRunner fans
  * jobs out over a ThreadPool, memoizes results in a RunCache so no
  * duplicate triple is ever simulated twice (within or across sweeps on
  * the same runner), and returns results in submission order regardless

@@ -6,7 +6,6 @@
 #include <system_error>
 
 #include "store/segment.h"
-#include "store/segment_store.h"
 
 namespace smartconf::fault {
 
@@ -105,19 +104,6 @@ flipIndexBit(const std::string &path, std::uint64_t byte_in_index,
     if (byte_in_index >= h.index_len)
         return false;
     return flipBit(path, h.index_off + byte_in_index, bit);
-}
-
-bool
-tearManifest(const std::string &dir)
-{
-    const std::string path =
-        dir + "/" + store::SegmentStore::kManifestName;
-    const std::int64_t size = fileSize(path);
-    if (size <= 2)
-        return false;
-    // Chop half the trailer line: the embedded checksum can no longer
-    // verify, which is exactly what a torn write looks like.
-    return truncateFile(path, static_cast<std::uint64_t>(size) - 2);
 }
 
 bool

@@ -50,8 +50,7 @@ bool blockPathWithFile(const std::string &path);
 //
 // The segment store makes the same promises per *segment*: a damaged
 // header or index block rejects the whole segment (every entry a
-// miss), a damaged payload rejects that entry, and a torn MANIFEST is
-// ignored because the directory listing is the source of truth.
+// miss), and a damaged payload rejects that entry.
 
 /** `seg-*.seg` files directly inside @p dir, sorted by path. */
 std::vector<std::string> listSegmentFiles(const std::string &dir);
@@ -72,14 +71,6 @@ bool truncateSegmentTail(const std::string &path,
  */
 bool flipIndexBit(const std::string &path, std::uint64_t byte_in_index,
                   unsigned bit);
-
-/**
- * Tear the MANIFEST in @p dir: chop the trailer line so the embedded
- * checksum no longer verifies.  Models a torn non-atomic write (the
- * store itself always renames, so this is belt-and-braces coverage).
- * @return success; false when no manifest exists.
- */
-bool tearManifest(const std::string &dir);
 
 } // namespace smartconf::fault
 

@@ -7,7 +7,6 @@
 #include "kvstore/heap.h"
 #include "kvstore/memtable.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/phases.h"
 #include "workload/sharded.h"
 
@@ -15,7 +14,6 @@ namespace smartconf::scenarios {
 
 namespace {
 
-constexpr double kTicksPerSecond = 10.0;
 constexpr const char *kConfName = "memtable_total_space_in_mb";
 constexpr const char *kMetricName = "memory_consumption_max";
 constexpr double kBlockedLatency = 10.0; ///< penalty charged to a block
@@ -152,36 +150,19 @@ Ca6059Scenario::profile(std::uint64_t seed) const
 ScenarioResult
 Ca6059Scenario::run(const Policy &policy, std::uint64_t seed) const
 {
-    ScenarioResult result;
-    result.scenario_id = info_.id;
-    result.policy_label = policy.label;
-    result.goal_value = opts_.heap_mb;
-    result.perf_series = sim::TimeSeries("used_memory_mb");
-    result.conf_series = sim::TimeSeries("memtable_total_space_in_mb");
-    result.tradeoff_series = sim::TimeSeries("avg_write_latency");
-    result.perf_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-    result.conf_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-    result.tradeoff_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-
-    std::unique_ptr<SmartConfRuntime> rt;
-    std::unique_ptr<SmartConfI> sc;
-    double initial_cap;
-    if (policy.isSmart()) {
-        const ProfileSummary summary = profile(seed ^ 0x6059);
-        rt = makeControlRuntime(controlSpec(opts_), policy, summary);
-        sc = std::make_unique<SmartConfI>(*rt, kConfName);
-        initial_cap = 16.0;
-    } else {
-        initial_cap = policy.value;
-    }
+    ControlLoop loop(*this, policy, seed,
+                     {.control = controlSpec(opts_),
+                      .profile_salt = 0x6059,
+                      .goal_value = opts_.heap_mb,
+                      .ticks = opts_.total_ticks,
+                      .perf_name = "used_memory_mb",
+                      .conf_name = "memtable_total_space_in_mb",
+                      .tradeoff_name = "avg_write_latency"});
 
     sim::Rng rng(seed);
     sim::Rng walk_rng = rng.fork(1);
     kvstore::JvmHeap heap(opts_.heap_mb);
-    kvstore::Memtable memtable(initial_cap, memtableParams());
+    kvstore::Memtable memtable(loop.initial(), memtableParams());
     workload::ShardedYcsbGenerator gen(
         ycsbParams(opts_, opts_.phase1_write_fraction), rng.fork(2));
 
@@ -195,29 +176,13 @@ Ca6059Scenario::run(const Policy &policy, std::uint64_t seed) const
     double cache = 0.0;
     double latency_sum = 0.0;
     std::int64_t latency_count = 0;
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
 
-    // Event-engine driver: workload + memtable stepping, the control
-    // loop, and metrics sampling each run as a periodic event rearmed
-    // in place.  Registration order fixes the intra-tick order to the
-    // sequential driver's statement order.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
-    std::vector<sim::EventId> loops;
-    auto halt = [&loops, &events] {
-        for (const sim::EventId id : loops)
-            events.cancel(id);
-    };
-
-    double mem = 0.0; ///< heap usage after this tick's accounting
     std::vector<workload::Op> ops; ///< reused arrival buffer
     const kvstore::JvmHeap::Slot other_slot = heap.slot("other");
     const kvstore::JvmHeap::Slot cache_slot = heap.slot("cache");
     const kvstore::JvmHeap::Slot memtable_slot = heap.slot("memtable");
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    loop.run([&](sim::Tick t) {
         gen.setWriteFraction(write_frac.at(t));
 
         // Read index cache warms gradually toward its target share.
@@ -243,64 +208,30 @@ Ca6059Scenario::run(const Policy &policy, std::uint64_t seed) const
         heap.set(cache_slot, cache);
         heap.set(memtable_slot, memtable.occupancyMb());
         heap.checkOom(t);
-        mem = heap.usedMb();
-    }));
+        const double mem = heap.usedMb();
 
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(initial_cap);
+        if (t % opts_.control_period == 0) {
+            if (const auto cap = loop.control(mem, memtable.occupancyMb()))
+                memtable.setCapMb(std::max(8.0, *cap));
+        }
 
-    if (sc) {
-        loops.push_back(events.schedulePeriodicAt(
-            0, opts_.control_period, [&] {
-                if (!chaos.fire())
-                    return;
-                sc->setPerf(chaos.measure(mem),
-                            memtable.occupancyMb());
-                memtable.setCapMb(std::max(
-                    8.0, chaos.actuate(sc->getConfReal())));
-            }));
-    }
-
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
-        result.perf_series.record(t, mem);
-        result.conf_series.record(t, memtable.capMb());
-        conf_sum += memtable.capMb();
-        ++conf_samples;
         const double avg_lat =
             latency_count > 0
                 ? latency_sum / static_cast<double>(latency_count)
                 : 0.0;
-        result.tradeoff_series.record(t, avg_lat);
-        result.worst_goal_metric =
-            std::max(result.worst_goal_metric, mem);
+        loop.record(t, mem, memtable.capMb(), avg_lat);
+        return heap.oom(); // Cassandra node died with OutOfMemoryError
+    });
 
-        if (heap.oom())
-            halt(); // Cassandra node died with OutOfMemoryError
-    }));
-
-    events.runUntil(opts_.total_ticks - 1);
-
-    result.violated = heap.oom();
-    result.violation_time_s =
-        heap.oom()
-            ? static_cast<double>(heap.oomTick()) / kTicksPerSecond
-            : -1.0;
-    result.raw_tradeoff =
-        latency_count > 0
-            ? latency_sum / static_cast<double>(latency_count)
-            : kBlockedLatency;
-    // Canonical trade-off score is higher-is-better: invert latency.
-    result.tradeoff =
-        result.raw_tradeoff > 0.0 ? 1.0 / result.raw_tradeoff : 0.0;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
-    result.ops_simulated = gen.generated();
-    result.faults_injected = chaos.stats().injected();
-    result.shard_ops.assign(gen.shardOps().begin(),
-                            gen.shardOps().end());
-    return result;
+    return loop.finish(
+        {.violated = heap.oom(),
+         .violation_tick = heap.oomTick(),
+         .raw_tradeoff =
+             latency_count > 0
+                 ? latency_sum / static_cast<double>(latency_count)
+                 : kBlockedLatency,
+         .ops_simulated = gen.generated(),
+         .shard_ops = gen.shardOps()});
 }
 
 } // namespace smartconf::scenarios

@@ -1,7 +1,12 @@
 #include "scenarios/control.h"
 
+#include <utility>
+
 namespace smartconf::scenarios {
 
+namespace {
+
+/** Translate a Policy's ablation knobs into runtime overrides. */
 ControllerOverrides
 overridesFor(const Policy &policy)
 {
@@ -21,8 +26,6 @@ overridesFor(const Policy &policy)
         ov.pole = policy.pole_override;
     return ov;
 }
-
-namespace {
 
 std::unique_ptr<SmartConfRuntime>
 makeRuntimeCommon(const ControlSpec &spec)
@@ -46,8 +49,10 @@ makeRuntimeCommon(const ControlSpec &spec)
     return rt;
 }
 
-} // namespace
-
+/**
+ * Build a runtime ready for control: conf + goal declared, overrides
+ * applied, profile installed (controller synthesized).
+ */
 std::unique_ptr<SmartConfRuntime>
 makeControlRuntime(const ControlSpec &spec, const Policy &policy,
                    const ProfileSummary &summary)
@@ -61,6 +66,20 @@ makeControlRuntime(const ControlSpec &spec, const Policy &policy,
     return rt;
 }
 
+/**
+ * Injector bundle for one evaluation run: active when the policy
+ * carries a chaos campaign, otherwise the inactive (identity) hooks.
+ */
+fault::ChaosHooks
+chaosHooksFor(const Policy &policy, std::uint64_t run_seed)
+{
+    if (!policy.hasChaos())
+        return fault::ChaosHooks();
+    return fault::ChaosHooks(*policy.chaos, run_seed);
+}
+
+} // namespace
+
 std::unique_ptr<SmartConfRuntime>
 makeProfilingRuntime(const ControlSpec &spec)
 {
@@ -69,12 +88,86 @@ makeProfilingRuntime(const ControlSpec &spec)
     return rt;
 }
 
-fault::ChaosHooks
-chaosHooksFor(const Policy &policy, std::uint64_t run_seed)
+ControlLoop::ControlLoop(const Scenario &scenario, const Policy &policy,
+                         std::uint64_t seed, EvaluationSpec spec)
+    : higher_better_(scenario.info().tradeoff_higher_better),
+      ticks_(spec.ticks), chaos_(chaosHooksFor(policy, seed))
 {
-    if (!policy.hasChaos())
-        return fault::ChaosHooks();
-    return fault::ChaosHooks(*policy.chaos, run_seed);
+    result_.scenario_id = scenario.info().id;
+    result_.policy_label = policy.label;
+    result_.goal_value = spec.goal_value;
+    result_.perf_series = sim::TimeSeries(spec.perf_name);
+    result_.conf_series = sim::TimeSeries(spec.conf_name);
+    result_.tradeoff_series = sim::TimeSeries(spec.tradeoff_name);
+    const auto n = static_cast<std::size_t>(ticks_);
+    if (!spec.sparse_perf)
+        result_.perf_series.reserve(n);
+    result_.conf_series.reserve(n);
+    if (!spec.sparse_tradeoff)
+        result_.tradeoff_series.reserve(n);
+
+    if (policy.isSmart()) {
+        const ProfileSummary summary =
+            scenario.profile(seed ^ spec.profile_salt);
+        rt_ = makeControlRuntime(spec.control, policy, summary);
+        sc_ = std::make_unique<SmartConfI>(*rt_, spec.control.conf_name,
+                                           std::move(spec.transducer));
+        initial_ = spec.control.initial;
+    } else {
+        initial_ = policy.value;
+    }
+    chaos_.seedActuation(initial_);
+}
+
+std::optional<double>
+ControlLoop::control(double perf)
+{
+    if (!sc_ || !chaos_.fire())
+        return std::nullopt;
+    SmartConf &direct = *sc_;
+    direct.setPerf(chaos_.measure(perf));
+    return chaos_.actuate(direct.getConfReal());
+}
+
+std::optional<double>
+ControlLoop::control(double perf, double deputy)
+{
+    if (!sc_ || !chaos_.fire())
+        return std::nullopt;
+    sc_->setPerf(chaos_.measure(perf), deputy);
+    return chaos_.actuate(sc_->getConfReal());
+}
+
+void
+ControlLoop::setGoal(double goal)
+{
+    if (sc_)
+        sc_->setGoal(goal);
+}
+
+ScenarioResult
+ControlLoop::finish(const RunOutcome &out)
+{
+    result_.violated = out.violated;
+    result_.violation_time_s =
+        out.violated
+            ? static_cast<double>(out.violation_tick) / kTicksPerSecond
+            : -1.0;
+    result_.raw_tradeoff = out.raw_tradeoff;
+    // Canonical trade-off score is higher-is-better: invert latencies
+    // and makespans.
+    if (higher_better_)
+        result_.tradeoff = out.raw_tradeoff;
+    else
+        result_.tradeoff =
+            out.raw_tradeoff > 0.0 ? 1.0 / out.raw_tradeoff : 0.0;
+    const std::size_t samples = result_.conf_series.size();
+    result_.mean_conf =
+        samples > 0 ? conf_sum_ / static_cast<double>(samples) : 0.0;
+    result_.ops_simulated = out.ops_simulated;
+    result_.faults_injected = chaos_.stats().injected();
+    result_.shard_ops.assign(out.shard_ops.begin(), out.shard_ops.end());
+    return std::move(result_);
 }
 
 } // namespace smartconf::scenarios

@@ -6,14 +6,12 @@
 #include "core/smartconf.h"
 #include "kvstore/memstore.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/sharded.h"
 
 namespace smartconf::scenarios {
 
 namespace {
 
-constexpr double kTicksPerSecond = 10.0;
 constexpr const char *kConfName = "global.memstore.lowerLimit";
 constexpr const char *kMetricName = "write_block_latency_max";
 
@@ -129,104 +127,63 @@ Hb2149Scenario::profile(std::uint64_t seed) const
 ScenarioResult
 Hb2149Scenario::run(const Policy &policy, std::uint64_t seed) const
 {
-    ScenarioResult result;
-    result.scenario_id = info_.id;
-    result.policy_label = policy.label;
-    result.goal_value = opts_.phase2_goal_ticks;
-    result.perf_series = sim::TimeSeries("block_latency_ticks");
-    result.conf_series = sim::TimeSeries("flush_amount_mb");
-    result.tradeoff_series = sim::TimeSeries("accepted_writes");
-    // perf_series only records on flush completion; the other two
-    // record every tick.
-    result.conf_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-    result.tradeoff_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-
-    std::unique_ptr<SmartConfRuntime> rt;
-    std::unique_ptr<SmartConf> sc;
-    double initial_amount;
-    if (policy.isSmart()) {
-        const ProfileSummary summary = profile(seed ^ 0x2149);
-        rt = makeControlRuntime(controlSpec(opts_), policy, summary);
-        sc = std::make_unique<SmartConf>(*rt, kConfName);
-        initial_amount = 8.0;
-    } else {
-        initial_amount = policy.value;
-    }
+    ControlLoop loop(*this, policy, seed,
+                     {.control = controlSpec(opts_),
+                      .profile_salt = 0x2149,
+                      .goal_value = opts_.phase2_goal_ticks,
+                      .ticks = opts_.total_ticks,
+                      .perf_name = "block_latency_ticks",
+                      .conf_name = "flush_amount_mb",
+                      .tradeoff_name = "accepted_writes",
+                      .sparse_perf = true}); // records per flush
 
     sim::Rng rng(seed);
-    kvstore::Memstore memstore(initial_amount, memstoreParams(opts_));
+    kvstore::Memstore memstore(loop.initial(), memstoreParams(opts_));
     workload::ShardedYcsbGenerator gen(ycsbParams(opts_), rng.fork(2));
-
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(initial_amount);
 
     std::uint64_t accepted = 0;
     bool goal_changed = false;
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
     // Blocks are judged against the goal in force when the flush began.
     double active_goal = opts_.phase1_goal_ticks;
     double flush_start_goal = active_goal;
     bool violated = false;
-    double violation_tick = -1.0;
+    sim::Tick violation_tick = -1;
     double worst_block = 0.0;
     bool was_blocked = false;
-
-    // Event-engine driver: the goal switch, the flush-completion
-    // sensor/control step, workload + memstore stepping, and metrics
-    // are separate periodic events; registration order reproduces the
-    // sequential driver's statement order within each tick.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
     std::vector<workload::Op> ops; ///< reused arrival buffer
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    auto adjust = [&](double block) {
+        if (const auto amount = loop.control(block))
+            memstore.setFlushAmountMb(std::max(4.0, *amount));
+    };
+
+    loop.run([&](sim::Tick t) {
         // Run-time goal change through the user-facing setGoal API.
         if (!goal_changed && t >= opts_.phase1_ticks) {
             goal_changed = true;
             active_goal = opts_.phase2_goal_ticks;
-            if (sc) {
-                sc->setGoal(active_goal);
-                // Re-evaluate immediately so the flush that starts next
-                // already honours the tightened constraint.
-                if (worst_block > 0.0 && !memstore.blocked() &&
-                    chaos.fire()) {
-                    sc->setPerf(
-                        chaos.measure(memstore.lastBlockTicks()));
-                    memstore.setFlushAmountMb(std::max(
-                        4.0, chaos.actuate(sc->getConfReal())));
-                }
-            }
+            loop.setGoal(active_goal);
+            // Re-evaluate immediately so the flush that starts next
+            // already honours the tightened constraint.
+            if (worst_block > 0.0 && !memstore.blocked())
+                adjust(memstore.lastBlockTicks());
         }
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         if (!memstore.blocked() && was_blocked) {
             // A blocking flush just completed: measure and adjust.
             const double block = memstore.lastBlockTicks();
             worst_block = std::max(worst_block, block);
             if (block > flush_start_goal * 1.02 + 1.0 && !violated) {
                 violated = true;
-                violation_tick = static_cast<double>(t);
+                violation_tick = t;
             }
-            result.perf_series.record(t, block);
-            if (sc && chaos.fire()) {
-                sc->setPerf(chaos.measure(block));
-                memstore.setFlushAmountMb(std::max(
-                    4.0, chaos.actuate(sc->getConfReal())));
-            }
+            loop.result().perf_series.record(t, block);
+            adjust(block);
         }
         if (!memstore.blocked())
             flush_start_goal = active_goal;
         was_blocked = memstore.blocked();
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         gen.tickInto(ops);
         for (const auto &op : ops) {
             if (op.type != workload::Op::Type::Write)
@@ -235,35 +192,22 @@ Hb2149Scenario::run(const Policy &policy, std::uint64_t seed) const
                 ++accepted;
         }
         memstore.step(t);
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
-        result.conf_series.record(t, memstore.flushAmountMb());
-        result.tradeoff_series.record(
+        loop.recordConf(t, memstore.flushAmountMb());
+        loop.result().tradeoff_series.record(
             t, static_cast<double>(accepted));
-        conf_sum += memstore.flushAmountMb();
-        ++conf_samples;
+        return false;
     });
 
-    events.runUntil(opts_.total_ticks - 1);
-
-    result.violated = violated;
-    result.violation_time_s =
-        violated ? violation_tick / kTicksPerSecond : -1.0;
-    result.worst_goal_metric = worst_block;
+    loop.result().worst_goal_metric = worst_block;
     const double duration_s =
         static_cast<double>(opts_.total_ticks) / kTicksPerSecond;
-    result.raw_tradeoff = static_cast<double>(accepted) / duration_s;
-    result.tradeoff = result.raw_tradeoff;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
-    result.ops_simulated = gen.generated();
-    result.faults_injected = chaos.stats().injected();
-    result.shard_ops.assign(gen.shardOps().begin(),
-                            gen.shardOps().end());
-    return result;
+    return loop.finish(
+        {.violated = violated,
+         .violation_tick = violation_tick,
+         .raw_tradeoff = static_cast<double>(accepted) / duration_s,
+         .ops_simulated = gen.generated(),
+         .shard_ops = gen.shardOps()});
 }
 
 } // namespace smartconf::scenarios

@@ -6,7 +6,6 @@
 #include "core/smartconf.h"
 #include "kvstore/server.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/phases.h"
 #include "workload/sharded.h"
 
@@ -14,7 +13,6 @@ namespace smartconf::scenarios {
 
 namespace {
 
-constexpr double kTicksPerSecond = 10.0;
 constexpr const char *kConfName = "ipc.server.max.queue.size";
 constexpr const char *kMetricName = "memory_consumption_max";
 
@@ -160,37 +158,19 @@ Hb3813Scenario::profile(std::uint64_t seed) const
 ScenarioResult
 Hb3813Scenario::run(const Policy &policy, std::uint64_t seed) const
 {
-    ScenarioResult result;
-    result.scenario_id = info_.id;
-    result.policy_label = policy.label;
-    result.goal_value = opts_.heap_mb;
-    result.perf_series = sim::TimeSeries("used_memory_mb");
-    result.conf_series = sim::TimeSeries("max.queue.size");
-    result.tradeoff_series = sim::TimeSeries("completed_ops");
-    result.perf_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-    result.conf_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-    result.tradeoff_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-
-    // Smart policies synthesize their controller from a separate
-    // profiling run (different seed: profiling != evaluation workload).
-    std::unique_ptr<SmartConfRuntime> rt;
-    std::unique_ptr<SmartConfI> sc;
-    std::size_t initial_queue;
-    if (policy.isSmart()) {
-        const ProfileSummary summary = profile(seed ^ 0x70F11E);
-        rt = makeControlRuntime(controlSpec(opts_), policy, summary);
-        sc = std::make_unique<SmartConfI>(*rt, kConfName);
-        initial_queue = 0;
-    } else {
-        initial_queue = static_cast<std::size_t>(policy.value);
-    }
+    ControlLoop loop(*this, policy, seed,
+                     {.control = controlSpec(opts_),
+                      .profile_salt = 0x70F11E,
+                      .goal_value = opts_.heap_mb,
+                      .ticks = opts_.total_ticks,
+                      .perf_name = "used_memory_mb",
+                      .conf_name = "max.queue.size",
+                      .tradeoff_name = "completed_ops"});
 
     sim::Rng rng(seed);
-    kvstore::KvServer server(serverParams(opts_, initial_queue),
-                             rng.fork(1));
+    kvstore::KvServer server(
+        serverParams(opts_, static_cast<std::size_t>(loop.initial())),
+        rng.fork(1));
     workload::ShardedYcsbGenerator gen(
         ycsbParams(opts_, opts_.phase1_req_mb, opts_.arrival_base),
         rng.fork(2));
@@ -198,32 +178,13 @@ Hb3813Scenario::run(const Policy &policy, std::uint64_t seed) const
     workload::PhasedSchedule<double> req_size(opts_.phase1_req_mb);
     req_size.addPhase(opts_.phase1_ticks, opts_.phase2_req_mb);
 
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
-
-    // The run is driven by the event engine: each concern — workload
-    // arrivals + server stepping, the control loop, metrics sampling —
-    // is a periodic event rearming in place every cycle.  Registration
-    // order fixes the intra-tick order (arrivals/step, then control,
-    // then metrics), matching the sequential driver this replaces.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
-    std::vector<sim::EventId> loops;
-    auto halt = [&loops, &events] {
-        for (const sim::EventId id : loops)
-            events.cancel(id);
-    };
-
-    double mem = 0.0; ///< heap usage after this tick's server step
     std::vector<workload::Op> ops; ///< reused arrival buffer
     const kvstore::JvmHeap::Slot compaction_slot =
         server.heap().slot("compaction");
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    loop.run([&](sim::Tick t) {
         gen.setRequestSizeMb(req_size.at(t));
         gen.setOpsPerTick(arrivalRate(opts_, t));
-
         gen.tickInto(ops);
         server.accept(ops, t, gen.lastSeq());
         server.step(t);
@@ -237,64 +198,31 @@ Hb3813Scenario::run(const Policy &policy, std::uint64_t seed) const
                 opts_.spike_mb * std::min(1.0, progress));
             server.heap().checkOom(t);
         }
-        mem = server.heap().usedMb();
-    }));
+        const double mem = server.heap().usedMb();
 
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(static_cast<double>(initial_queue));
+        if (t % opts_.control_period == 0) {
+            // The queue bound is an integer setting.
+            if (const auto next = loop.control(
+                    mem, static_cast<double>(server.requestQueue().size())))
+                server.requestQueue().setMaxItems(static_cast<std::size_t>(
+                    std::llround(std::max(0.0, *next))));
+        }
 
-    if (sc) {
-        loops.push_back(events.schedulePeriodicAt(
-            0, opts_.control_period, [&] {
-                if (!chaos.fire())
-                    return;
-                sc->setPerf(chaos.measure(mem),
-                            static_cast<double>(
-                                server.requestQueue().size()));
-                const int next = static_cast<int>(chaos.actuate(
-                    static_cast<double>(sc->getConf())));
-                server.requestQueue().setMaxItems(
-                    static_cast<std::size_t>(std::max(0, next)));
-            }));
-    }
+        loop.record(t, mem,
+                    static_cast<double>(server.requestQueue().maxItems()),
+                    static_cast<double>(server.completedOps()));
+        return server.crashed(); // region server died with OutOfMemoryError
+    });
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
-        result.perf_series.record(t, mem);
-        result.conf_series.record(
-            t, static_cast<double>(server.requestQueue().maxItems()));
-        result.tradeoff_series.record(
-            t, static_cast<double>(server.completedOps()));
-        conf_sum += static_cast<double>(server.requestQueue().maxItems());
-        ++conf_samples;
-        result.worst_goal_metric =
-            std::max(result.worst_goal_metric, mem);
-
-        if (server.crashed())
-            halt(); // region server died with OutOfMemoryError
-    }));
-
-    events.runUntil(opts_.total_ticks - 1);
-
-    result.violated = server.crashed();
-    result.violation_time_s =
-        server.crashed()
-            ? static_cast<double>(server.heap().oomTick()) /
-                  kTicksPerSecond
-            : -1.0;
     const double duration_s =
         static_cast<double>(opts_.total_ticks) / kTicksPerSecond;
-    result.raw_tradeoff =
-        static_cast<double>(server.completedOps()) / duration_s;
-    result.tradeoff = result.raw_tradeoff;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
-    result.ops_simulated = gen.generated();
-    result.faults_injected = chaos.stats().injected();
-    result.shard_ops.assign(gen.shardOps().begin(),
-                            gen.shardOps().end());
-    return result;
+    return loop.finish(
+        {.violated = server.crashed(),
+         .violation_tick = server.heap().oomTick(),
+         .raw_tradeoff =
+             static_cast<double>(server.completedOps()) / duration_s,
+         .ops_simulated = gen.generated(),
+         .shard_ops = gen.shardOps()});
 }
 
 } // namespace smartconf::scenarios

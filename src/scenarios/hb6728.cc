@@ -7,7 +7,6 @@
 #include "kvstore/memtable.h"
 #include "kvstore/server.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/phases.h"
 #include "workload/sharded.h"
 
@@ -15,7 +14,6 @@ namespace smartconf::scenarios {
 
 namespace {
 
-constexpr double kTicksPerSecond = 10.0;
 constexpr const char *kConfName = "ipc.server.response.queue.maxsize";
 constexpr const char *kMetricName = "memory_consumption_max";
 
@@ -159,34 +157,17 @@ Hb6728Scenario::profile(std::uint64_t seed) const
 ScenarioResult
 Hb6728Scenario::run(const Policy &policy, std::uint64_t seed) const
 {
-    ScenarioResult result;
-    result.scenario_id = info_.id;
-    result.policy_label = policy.label;
-    result.goal_value = opts_.heap_mb;
-    result.perf_series = sim::TimeSeries("used_memory_mb");
-    result.conf_series = sim::TimeSeries("response.queue.maxsize");
-    result.tradeoff_series = sim::TimeSeries("completed_ops");
-    result.perf_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-    result.conf_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-    result.tradeoff_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-
-    std::unique_ptr<SmartConfRuntime> rt;
-    std::unique_ptr<SmartConfI> sc;
-    double initial_resp;
-    if (policy.isSmart()) {
-        const ProfileSummary summary = profile(seed ^ 0x6728);
-        rt = makeControlRuntime(controlSpec(opts_), policy, summary);
-        sc = std::make_unique<SmartConfI>(*rt, kConfName);
-        initial_resp = 8.0;
-    } else {
-        initial_resp = policy.value;
-    }
+    ControlLoop loop(*this, policy, seed,
+                     {.control = controlSpec(opts_),
+                      .profile_salt = 0x6728,
+                      .goal_value = opts_.heap_mb,
+                      .ticks = opts_.total_ticks,
+                      .perf_name = "used_memory_mb",
+                      .conf_name = "response.queue.maxsize",
+                      .tradeoff_name = "completed_ops"});
 
     sim::Rng rng(seed);
-    kvstore::KvServer server(serverParams(opts_, initial_resp),
+    kvstore::KvServer server(serverParams(opts_, loop.initial()),
                              rng.fork(1));
     workload::ShardedYcsbGenerator gen(
         ycsbParams(opts_, opts_.phase1_write_fraction,
@@ -202,27 +183,11 @@ Hb6728Scenario::run(const Policy &policy, std::uint64_t seed) const
         opts_.phase1_write_fraction);
     write_frac.addPhase(opts_.phase1_ticks, opts_.phase2_write_fraction);
 
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
-
-    // Event-engine driver: workload + server stepping, the control
-    // loop, and metrics sampling as periodic events (registration
-    // order = the sequential driver's statement order within a tick).
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
-    std::vector<sim::EventId> loops;
-    auto halt = [&loops, &events] {
-        for (const sim::EventId id : loops)
-            events.cancel(id);
-    };
-
-    double mem = 0.0; ///< heap usage after this tick's server step
     std::vector<workload::Op> ops; ///< reused arrival buffer
     const kvstore::JvmHeap::Slot memstore_slot =
         server.heap().slot("memstore");
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    loop.run([&](sim::Tick t) {
         gen.setWriteFraction(write_frac.at(t));
         gen.setOpsPerTick(arrivalRate(opts_, t));
 
@@ -235,60 +200,28 @@ Hb6728Scenario::run(const Policy &policy, std::uint64_t seed) const
         server.heap().set(memstore_slot, memstore.occupancyMb());
         server.accept(ops, t, gen.lastSeq());
         server.step(t);
-        mem = server.heap().usedMb();
-    }));
+        const double mem = server.heap().usedMb();
 
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(initial_resp);
+        if (t % opts_.control_period == 0) {
+            if (const auto max_mb = loop.control(
+                    mem, server.responseQueue().bytesMb()))
+                server.responseQueue().setMaxMb(std::max(1.0, *max_mb));
+        }
 
-    if (sc) {
-        loops.push_back(events.schedulePeriodicAt(
-            0, opts_.control_period, [&] {
-                if (!chaos.fire())
-                    return;
-                sc->setPerf(chaos.measure(mem),
-                            server.responseQueue().bytesMb());
-                server.responseQueue().setMaxMb(std::max(
-                    1.0, chaos.actuate(sc->getConfReal())));
-            }));
-    }
+        loop.record(t, mem, server.responseQueue().maxMb(),
+                    static_cast<double>(server.completedOps()));
+        return server.crashed(); // region server died with OutOfMemoryError
+    });
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
-        result.perf_series.record(t, mem);
-        result.conf_series.record(t, server.responseQueue().maxMb());
-        result.tradeoff_series.record(
-            t, static_cast<double>(server.completedOps()));
-        conf_sum += server.responseQueue().maxMb();
-        ++conf_samples;
-        result.worst_goal_metric =
-            std::max(result.worst_goal_metric, mem);
-
-        if (server.crashed())
-            halt(); // region server died with OutOfMemoryError
-    }));
-
-    events.runUntil(opts_.total_ticks - 1);
-
-    result.violated = server.crashed();
-    result.violation_time_s =
-        server.crashed()
-            ? static_cast<double>(server.heap().oomTick()) /
-                  kTicksPerSecond
-            : -1.0;
     const double duration_s =
         static_cast<double>(opts_.total_ticks) / kTicksPerSecond;
-    result.raw_tradeoff =
-        static_cast<double>(server.completedOps()) / duration_s;
-    result.tradeoff = result.raw_tradeoff;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
-    result.ops_simulated = gen.generated();
-    result.faults_injected = chaos.stats().injected();
-    result.shard_ops.assign(gen.shardOps().begin(),
-                            gen.shardOps().end());
-    return result;
+    return loop.finish(
+        {.violated = server.crashed(),
+         .violation_tick = server.heap().oomTick(),
+         .raw_tradeoff =
+             static_cast<double>(server.completedOps()) / duration_s,
+         .ops_simulated = gen.generated(),
+         .shard_ops = gen.shardOps()});
 }
 
 } // namespace smartconf::scenarios

@@ -6,14 +6,12 @@
 #include "core/smartconf.h"
 #include "dfs/namenode.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/sharded.h"
 
 namespace smartconf::scenarios {
 
 namespace {
 
-constexpr double kTicksPerSecond = 10.0;
 constexpr const char *kConfName = "content-summary.limit";
 constexpr const char *kMetricName = "write_block_latency_max";
 
@@ -159,85 +157,56 @@ Hd4995Scenario::profile(std::uint64_t seed) const
 ScenarioResult
 Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
 {
-    ScenarioResult result;
-    result.scenario_id = info_.id;
-    result.policy_label = policy.label;
-    result.goal_value = opts_.phase2_goal_ticks;
-    result.perf_series = sim::TimeSeries("write_wait_ticks");
-    result.conf_series = sim::TimeSeries("content-summary.limit");
-    result.tradeoff_series = sim::TimeSeries("du_latency_ticks");
-    // perf/tradeoff record per chunk / per du; conf records every tick.
-    result.conf_series.reserve(
-        static_cast<std::size_t>(opts_.total_ticks));
-
-    std::unique_ptr<SmartConfRuntime> rt;
-    std::unique_ptr<SmartConfI> sc;
-    double initial_limit;
-    if (policy.isSmart()) {
-        const ProfileSummary summary = profile(seed ^ 0x4995);
-        rt = makeControlRuntime(controlSpec(opts_), policy, summary);
-        sc = std::make_unique<SmartConfI>(*rt, kConfName,
-                                          makeTransducer(opts_));
-        initial_limit = 100000.0;
-    } else {
-        initial_limit = policy.value;
-    }
+    // perf records per chunk, tradeoff per du; conf records every tick.
+    ControlLoop loop(*this, policy, seed,
+                     {.control = controlSpec(opts_),
+                      .profile_salt = 0x4995,
+                      .transducer = makeTransducer(opts_),
+                      .goal_value = opts_.phase2_goal_ticks,
+                      .ticks = opts_.total_ticks,
+                      .perf_name = "write_wait_ticks",
+                      .conf_name = "content-summary.limit",
+                      .tradeoff_name = "du_latency_ticks",
+                      .sparse_perf = true,
+                      .sparse_tradeoff = true});
 
     sim::Rng rng(seed);
     dfs::Namenode nn(namenodeParams(opts_, opts_.writes_per_tick),
-                     static_cast<std::uint64_t>(initial_limit));
+                     static_cast<std::uint64_t>(loop.initial()));
     workload::ShardedDfsioGenerator gen(dfsioParams(opts_, true), rng.fork(2));
-
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(initial_limit);
 
     double active_goal = opts_.phase1_goal_ticks;
     bool goal_changed = false;
     bool violated = false;
-    double violation_tick = -1.0;
+    sim::Tick violation_tick = -1;
     double worst_wait = 0.0;
     double last_wait = -1.0, last_hold = -1.0;
     double prev_hold = -1.0;
     std::uint64_t chunks_seen = 0;
     std::size_t du_seen = 0;
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
-
-    // Event-engine driver: the goal switch, request arrivals + namenode
-    // stepping, the per-chunk conditional control step, and metrics are
-    // separate periodic events fired in registration order each tick.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
     std::vector<workload::DfsRequest> reqs; ///< reused arrival buffer
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    auto adjust = [&](double wait, double hold) {
+        if (const auto limit = loop.control(wait, hold))
+            nn.setSummaryLimit(
+                static_cast<std::uint64_t>(std::max(20000.0, *limit)));
+    };
+
+    loop.run([&](sim::Tick t) {
         if (!goal_changed && t >= opts_.phase1_ticks) {
             goal_changed = true;
             active_goal = opts_.phase2_goal_ticks;
-            if (sc) {
-                sc->setGoal(active_goal);
-                // Re-evaluate immediately so the next du chunk already
-                // honours the tightened constraint.
-                if (last_wait > 0.0 && chaos.fire()) {
-                    sc->setPerf(chaos.measure(last_wait), last_hold);
-                    nn.setSummaryLimit(static_cast<std::uint64_t>(
-                        std::max(20000.0,
-                                 chaos.actuate(sc->getConfReal()))));
-                }
-            }
+            loop.setGoal(active_goal);
+            // Re-evaluate immediately so the next du chunk already
+            // honours the tightened constraint.
+            if (last_wait > 0.0)
+                adjust(last_wait, last_hold);
         }
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         gen.tickInto(t, reqs);
         nn.submitAll(reqs, t);
         nn.step(t);
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         // Conditional control: invoked per completed du chunk.  The
         // waits measured since the previous chunk ended belong to that
         // previous chunk's lock hold; pair them accordingly.
@@ -246,43 +215,28 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
             const double wait = nn.takeRecentMaxWait();
             if (wait > 0.0 && prev_hold > 0.0) {
                 worst_wait = std::max(worst_wait, wait);
-                result.perf_series.record(t, wait);
+                loop.result().perf_series.record(t, wait);
                 if (wait > active_goal * 1.05 + 1.0 && !violated) {
                     violated = true;
-                    violation_tick = static_cast<double>(t);
+                    violation_tick = t;
                 }
                 last_wait = wait;
                 last_hold = prev_hold;
-                if (sc && chaos.fire()) {
-                    sc->setPerf(chaos.measure(wait), prev_hold);
-                    nn.setSummaryLimit(static_cast<std::uint64_t>(
-                        std::max(20000.0,
-                                 chaos.actuate(sc->getConfReal()))));
-                }
+                adjust(wait, prev_hold);
             }
             prev_hold = nn.lastHoldTicks();
         }
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         while (du_seen < nn.duResults().size()) {
-            result.tradeoff_series.record(
+            loop.result().tradeoff_series.record(
                 t, nn.duResults()[du_seen].latency_ticks);
             ++du_seen;
         }
-        result.conf_series.record(
-            t, static_cast<double>(nn.summaryLimit()));
-        conf_sum += static_cast<double>(nn.summaryLimit());
-        ++conf_samples;
+        loop.recordConf(t, static_cast<double>(nn.summaryLimit()));
+        return false;
     });
 
-    events.runUntil(opts_.total_ticks - 1);
-
-    result.violated = violated;
-    result.violation_time_s =
-        violated ? violation_tick / kTicksPerSecond : -1.0;
-    result.worst_goal_metric = worst_wait;
+    loop.result().worst_goal_metric = worst_wait;
 
     // Trade-off: mean du latency in seconds (lower is better).
     double du_sum = 0.0;
@@ -293,16 +247,11 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
             ? static_cast<double>(opts_.total_ticks) / kTicksPerSecond
             : du_sum / static_cast<double>(nn.duResults().size()) /
                   kTicksPerSecond;
-    result.raw_tradeoff = du_mean_s;
-    result.tradeoff = du_mean_s > 0.0 ? 1.0 / du_mean_s : 0.0;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
-    result.ops_simulated = gen.generated();
-    result.faults_injected = chaos.stats().injected();
-    result.shard_ops.assign(gen.shardOps().begin(),
-                            gen.shardOps().end());
-    return result;
+    return loop.finish({.violated = violated,
+                        .violation_tick = violation_tick,
+                        .raw_tradeoff = du_mean_s,
+                        .ops_simulated = gen.generated(),
+                        .shard_ops = gen.shardOps()});
 }
 
 } // namespace smartconf::scenarios

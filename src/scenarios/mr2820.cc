@@ -7,13 +7,11 @@
 #include "core/smartconf.h"
 #include "mapreduce/cluster.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 
 namespace smartconf::scenarios {
 
 namespace {
 
-constexpr double kTicksPerSecond = 10.0;
 constexpr const char *kConfName = "local.dir.minspacestart";
 constexpr const char *kMetricName = "disk_consumption_max";
 
@@ -138,46 +136,18 @@ Mr2820Scenario::profile(std::uint64_t seed) const
 ScenarioResult
 Mr2820Scenario::run(const Policy &policy, std::uint64_t seed) const
 {
-    ScenarioResult result;
-    result.scenario_id = info_.id;
-    result.policy_label = policy.label;
-    result.goal_value = opts_.disk_capacity_mb;
-    result.perf_series = sim::TimeSeries("disk_used_mb");
-    result.conf_series = sim::TimeSeries("minspacestart_mb");
-    result.tradeoff_series = sim::TimeSeries("completed_tasks");
-    result.perf_series.reserve(
-        static_cast<std::size_t>(opts_.max_ticks));
-    result.conf_series.reserve(
-        static_cast<std::size_t>(opts_.max_ticks));
-    result.tradeoff_series.reserve(
-        static_cast<std::size_t>(opts_.max_ticks));
-
-    std::unique_ptr<SmartConfRuntime> rt;
-    std::unique_ptr<SmartConf> sc;
-    // Peak-hold over ~one task duration: admissions are irrevocable,
-    // so the controller must keep seeing the wave peak it committed
-    // to, not the trough after outputs are fetched.
-    WindowMaxSensor peak_sensor(
-        static_cast<std::size_t>(opts_.task_duration /
-                                 opts_.control_period) + 1);
-    // Model-based component: the master knows split sizes, so while
-    // tasks are pending it can predict what the disk would reach if
-    // the next wave were admitted.  Feeding the prediction removes the
-    // plant lag (spills take a task duration to materialize) that
-    // would otherwise wind the controller down between waves.
-    double initial;
-    if (policy.isSmart()) {
-        const ProfileSummary summary = profile(seed ^ 0x2820);
-        rt = makeControlRuntime(controlSpec(opts_), policy, summary);
-        sc = std::make_unique<SmartConf>(*rt, kConfName);
-        initial = 400.0;
-    } else {
-        initial = policy.value;
-    }
+    ControlLoop loop(*this, policy, seed,
+                     {.control = controlSpec(opts_),
+                      .profile_salt = 0x2820,
+                      .goal_value = opts_.disk_capacity_mb,
+                      .ticks = opts_.max_ticks,
+                      .perf_name = "disk_used_mb",
+                      .conf_name = "minspacestart_mb",
+                      .tradeoff_name = "completed_tasks"});
 
     sim::Rng rng(seed);
     mapreduce::MrCluster cluster(clusterParams(opts_),
-                                 static_cast<std::uint64_t>(initial),
+                                 static_cast<std::uint64_t>(loop.initial()),
                                  rng.fork(1));
 
     // Phase 1 job runs to completion, then the phase 2 job is submitted
@@ -185,126 +155,87 @@ Mr2820Scenario::run(const Policy &policy, std::uint64_t seed) const
     int phase = 0;
     cluster.submitJob(opts_.phase1_job, 0);
 
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
     sim::Tick finished_at = opts_.max_ticks;
     std::uint64_t tasks_done_before = 0;
 
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(initial);
+    // Peak-hold over ~one task duration: admissions are irrevocable,
+    // so the controller must keep seeing the wave peak it committed
+    // to, not the trough after outputs are fetched.
+    WindowMaxSensor peak_sensor(
+        static_cast<std::size_t>(opts_.task_duration /
+                                 opts_.control_period) + 1);
 
     // One control invocation: sense (peak-hold + next-wave prediction)
     // and push the adjusted gate to the master.
     auto invoke_control = [&](bool force_pending_wave) {
+        if (!loop.smart())
+            return;
         // The probe runs even when the invocation is suppressed: a
         // skipped controller does not stop the sensor accumulating.
         peak_sensor.observe(cluster.projectedDiskUsedMb());
-        if (!chaos.fire())
-            return;
         const workload::WordCountJob &job =
             phase == 0 ? opts_.phase1_job : opts_.phase2_job;
-        // Admission is one task per worker heartbeat, so the next
-        // commitment quantum is a single task's spill.
+        // Model-based component: the master knows split sizes, so
+        // while tasks are pending it can predict what the disk would
+        // reach if the next wave were admitted.  Feeding the
+        // prediction removes the plant lag (spills take a task
+        // duration to materialize) that would otherwise wind the
+        // controller down between waves.  Admission is one task per
+        // worker heartbeat, so the next commitment quantum is a single
+        // task's spill, padded 20% for spill-size jitter and
+        // co-resident growth, like any real reservation.
         const double wave_mb = job.spillPerTaskMb();
-        // "What would the disk reach if the next wave were admitted
-        // right now?"  While tasks are waiting, that is the quantity
-        // the gate must keep below the constraint.  The wave estimate
-        // is padded 20% for spill-size jitter and co-resident growth,
-        // like any real reservation.
         const double predicted =
             cluster.pendingTasks() > 0 || force_pending_wave
                 ? cluster.projectedDiskUsedMb() + 1.2 * wave_mb
                 : 0.0;
-        sc->setPerf(
-            chaos.measure(std::max(peak_sensor.read(), predicted)));
         // Master computes the new value; MrCluster models the
         // master->slave propagation delay internally.
-        cluster.setMinSpaceStart(
-            std::max(0.0, chaos.actuate(sc->getConfReal())));
+        if (const auto gate =
+                loop.control(std::max(peak_sensor.read(), predicted)))
+            cluster.setMinSpaceStart(std::max(0.0, *gate));
     };
 
-    // Event-engine driver: cluster stepping, the control loop, and
-    // metrics + job-phase bookkeeping as periodic events fired in
-    // registration order each tick.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
-    std::vector<sim::EventId> loops;
-    auto halt = [&loops, &events] {
-        for (const sim::EventId id : loops)
-            events.cancel(id);
-    };
+    loop.run([&](sim::Tick t) {
+        cluster.step(t);
+        const double disk = cluster.maxDiskUsedMb();
 
-    double disk = 0.0; ///< max worker disk after this tick's step
+        if (t % opts_.control_period == 0)
+            invoke_control(false);
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        cluster.step(sim_clock.now());
-        disk = cluster.maxDiskUsedMb();
-    }));
-
-    if (sc) {
-        loops.push_back(events.schedulePeriodicAt(
-            0, opts_.control_period, [&] { invoke_control(false); }));
-    }
-
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
-        result.perf_series.record(t, disk);
-        result.conf_series.record(t, cluster.minSpaceStart());
-        result.tradeoff_series.record(
-            t, static_cast<double>(tasks_done_before +
-                                   cluster.completedTasks()));
-        conf_sum += cluster.minSpaceStart();
-        ++conf_samples;
-        result.worst_goal_metric =
-            std::max(result.worst_goal_metric, disk);
-
-        if (cluster.ood()) {
-            halt(); // a worker ran out of disk: the job is lost
-            return;
+        loop.record(t, disk, cluster.minSpaceStart(),
+                    static_cast<double>(tasks_done_before +
+                                        cluster.completedTasks()));
+        if (cluster.ood())
+            return true; // a worker ran out of disk: the job is lost
+        if (!cluster.jobDone())
+            return false;
+        if (phase == 1) {
+            finished_at = t;
+            return true;
         }
-
-        if (cluster.jobDone()) {
-            if (phase == 0) {
-                phase = 1;
-                tasks_done_before += cluster.completedTasks();
-                cluster.submitJob(opts_.phase2_job, t);
-                // The scheduler re-reads its configuration when a new
-                // job arrives — before any of its tasks can start.
-                if (sc)
-                    invoke_control(true);
-            } else {
-                finished_at = t;
-                halt();
-            }
-        }
-    }));
-
-    events.runUntil(opts_.max_ticks - 1);
-
-    result.violated = cluster.ood();
-    result.violation_time_s =
-        cluster.ood()
-            ? static_cast<double>(cluster.oodTick()) / kTicksPerSecond
-            : -1.0;
+        phase = 1;
+        tasks_done_before += cluster.completedTasks();
+        cluster.submitJob(opts_.phase2_job, t);
+        // The scheduler re-reads its configuration when a new job
+        // arrives — before any of its tasks can start.
+        invoke_control(true);
+        return false;
+    });
 
     // Trade-off: makespan of the two jobs in seconds (lower is better).
     const double makespan_s =
         cluster.ood()
             ? static_cast<double>(opts_.max_ticks) / kTicksPerSecond
             : static_cast<double>(finished_at) / kTicksPerSecond;
-    result.raw_tradeoff = makespan_s;
-    result.tradeoff = makespan_s > 0.0 ? 1.0 / makespan_s : 0.0;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
-    result.ops_simulated =
-        tasks_done_before + cluster.completedTasks();
-    result.faults_injected = chaos.stats().injected();
     // Cluster shard counters span both job phases (they never reset on
     // submitJob), so they sum to ops_simulated.
-    result.shard_ops.assign(cluster.shardOps().begin(),
-                            cluster.shardOps().end());
-    return result;
+    return loop.finish(
+        {.violated = cluster.ood(),
+         .violation_tick = cluster.oodTick(),
+         .raw_tradeoff = makespan_s,
+         .ops_simulated = tasks_done_before + cluster.completedTasks(),
+         .shard_ops = cluster.shardOps()});
 }
 
 } // namespace smartconf::scenarios

@@ -3,12 +3,11 @@
 
 /**
  * @file
- * Virtual time for the discrete-event substrate.
+ * Virtual time for the simulated substrate.
  *
  * Time is an integer tick count; scenarios define the tick length (the
  * case studies use 100 ms ticks, so 600 s of simulated server time is
- * 6000 ticks).  Keeping ticks integral avoids floating-point drift in
- * event ordering.
+ * 6000 ticks).  Keeping ticks integral avoids floating-point drift.
  */
 
 #include <cstdint>
@@ -41,28 +40,6 @@ class TickConverter
 
   private:
     double ticks_per_second_;
-};
-
-/** Monotonic simulation clock advanced by the event loop. */
-class Clock
-{
-  public:
-    Tick now() const { return now_; }
-
-    /** Advance to @p t; time never moves backwards. */
-    void advanceTo(Tick t)
-    {
-        if (t > now_)
-            now_ = t;
-    }
-
-    /** Advance by @p dt ticks. */
-    void advanceBy(Tick dt) { now_ += dt; }
-
-    void reset() { now_ = 0; }
-
-  private:
-    Tick now_ = 0;
 };
 
 } // namespace smartconf::sim

@@ -35,7 +35,7 @@ class Rng
     std::uint64_t next()
     {
         const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-        advance();
+        advance(s_);
         return result;
     }
 
@@ -143,15 +143,15 @@ class Rng
     }
 
     /** State transition without the output map (fillRaw's inner step). */
-    void advance()
+    static void advance(std::uint64_t (&s)[4])
     {
-        const std::uint64_t t = s_[1] << 17;
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = rotl(s_[3], 45);
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
     }
 
     std::uint64_t s_[4];

@@ -171,10 +171,6 @@ SegmentStore::put(const std::string &key, const void *payload,
         ++stats_.puts;
         stats_.put_bytes += payload_len;
     }
-    if (sealed && sealed_ok) {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        writeManifestLocked();
-    }
     if (sealed)
         kickCompactor();
     return sealed_ok;
@@ -397,11 +393,6 @@ SegmentStore::rescanLocked()
     while (cur < max_seq && !seq_.compare_exchange_weak(cur, max_seq)) {
     }
 
-    if (!scanned_) {
-        Manifest m;
-        if (readManifest(dir_, m))
-            manifest_epoch_ = m.epoch;
-    }
     scanned_ = true;
 
     for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
@@ -452,31 +443,9 @@ SegmentStore::flush()
         else
             ok = false;
     }
-    if (published) {
-        {
-            std::lock_guard<std::mutex> lock(store_mu_);
-            writeManifestLocked();
-        }
+    if (published)
         kickCompactor();
-    }
     return ok;
-}
-
-void
-SegmentStore::writeManifestLocked()
-{
-    Manifest m;
-    m.format = opts_.format;
-    m.engine = opts_.engine;
-    m.epoch = ++manifest_epoch_;
-    for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
-        Shard &sh = *shards_[s];
-        std::lock_guard<std::mutex> lock(sh.mu);
-        for (const auto &seg : sh.segments)
-            m.segments.emplace_back(seg->name, seg->header.count);
-    }
-    std::sort(m.segments.begin(), m.segments.end());
-    (void)writeManifest(dir_, m); // advisory: failure never blocks IO
 }
 
 CompactionResult
@@ -493,10 +462,6 @@ SegmentStore::compact()
         }
         if (multi && compactShard(s, agg))
             ++agg.shards_compacted;
-    }
-    if (agg.shards_compacted > 0) {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        writeManifestLocked();
     }
     return agg;
 }
@@ -596,12 +561,7 @@ SegmentStore::compactShard(std::uint32_t shard_id,
                       return a->seq > b2->seq;
                   });
     }
-    {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        writeManifestLocked();
-    }
-    // Unlink the inputs only after the merged segment and manifest are
-    // live.  In-flight readers keep their fds; listings from here on
+    // Unlink the inputs only after the merged segment is live.  In-flight readers keep their fds; listings from here on
     // see the merged segment.
     std::error_code ec;
     for (const auto &seg : inputs)
@@ -764,26 +724,6 @@ SegmentStore::verify()
         }
     }
 
-    // Manifest: advisory, but verify reports tears and stale listings.
-    Manifest m;
-    const std::string mpath = dir_ + "/" + kManifestName;
-    if (fs::exists(mpath, ec)) {
-        if (!readManifest(dir_, m)) {
-            r.manifest_ok = false;
-            r.issues.push_back({"MANIFEST", "torn (bad trailer "
-                                            "checksum)"});
-        } else {
-            for (const auto &[name, count] : m.segments) {
-                if (std::find(names.begin(), names.end(), name) ==
-                    names.end()) {
-                    r.manifest_ok = false;
-                    r.issues.push_back(
-                        {"MANIFEST", "lists missing segment " + name});
-                }
-                (void)count;
-            }
-        }
-    }
     return r;
 }
 
@@ -856,109 +796,6 @@ SegmentStore::segmentCount()
         n += sh->segments.size();
     }
     return n;
-}
-
-// --- Manifest ----------------------------------------------------------
-
-bool
-readManifest(const std::string &dir, Manifest &out)
-{
-    std::FILE *f =
-        std::fopen((dir + "/" + SegmentStore::kManifestName).c_str(),
-                   "rb");
-    if (!f)
-        return false;
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    // The trailer line `end <checksum>` covers every preceding byte; a
-    // torn write (no trailer, or half a line) fails here and the whole
-    // manifest is ignored.
-    const std::size_t tail = text.rfind("\nend ");
-    if (tail == std::string::npos)
-        return false;
-    const std::string body = text.substr(0, tail + 1);
-    unsigned long long recorded = 0;
-    if (std::sscanf(text.c_str() + tail + 5, "%llx", &recorded) != 1)
-        return false;
-    if (fnv1a64(body.data(), body.size()) != recorded)
-        return false;
-
-    Manifest m;
-    std::size_t pos = 0;
-    bool have_magic = false;
-    while (pos < body.size()) {
-        std::size_t eol = body.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = body.size();
-        const std::string line = body.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.rfind("SCMF ", 0) == 0) {
-            have_magic = true;
-        } else if (line.rfind("format ", 0) == 0) {
-            m.format = static_cast<std::uint32_t>(
-                std::strtoul(line.c_str() + 7, nullptr, 10));
-        } else if (line.rfind("engine ", 0) == 0) {
-            m.engine = static_cast<std::uint32_t>(
-                std::strtoul(line.c_str() + 7, nullptr, 10));
-        } else if (line.rfind("epoch ", 0) == 0) {
-            m.epoch = std::strtoull(line.c_str() + 6, nullptr, 10);
-        } else if (line.rfind("segment ", 0) == 0) {
-            char name[128];
-            unsigned long long count = 0;
-            if (std::sscanf(line.c_str() + 8, "%127s %llu", name,
-                            &count) == 2)
-                m.segments.emplace_back(name, count);
-        }
-    }
-    if (!have_magic)
-        return false;
-    out = std::move(m);
-    return true;
-}
-
-bool
-writeManifest(const std::string &dir, const Manifest &m)
-{
-    std::string body = "SCMF 1\n";
-    body += "format " + std::to_string(m.format) + "\n";
-    body += "engine " + std::to_string(m.engine) + "\n";
-    body += "epoch " + std::to_string(m.epoch) + "\n";
-    for (const auto &[name, count] : m.segments)
-        body += "segment " + name + " " + std::to_string(count) + "\n";
-    char trailer[32];
-    std::snprintf(trailer, sizeof trailer, "end %016llx\n",
-                  static_cast<unsigned long long>(
-                      fnv1a64(body.data(), body.size())));
-
-    const std::string path =
-        dir + "/" + SegmentStore::kManifestName;
-    const std::string tmp =
-        path + ".tmp." +
-        std::to_string(static_cast<unsigned long>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    const bool wrote =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
-        std::fwrite(trailer, 1, std::strlen(trailer), f) ==
-            std::strlen(trailer);
-    const bool closed = std::fclose(f) == 0;
-    std::error_code ec;
-    if (!wrote || !closed) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
 }
 
 } // namespace smartconf::store

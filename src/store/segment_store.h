@@ -23,21 +23,19 @@
  *    segments become visible without any coordination;
  *  - compaction merges a shard's sealed segments into one sorted
  *    higher-level segment (external-merge over the already-sorted
- *    indexes), publishes it by rename, atomically swaps the MANIFEST,
- *    and only then unlinks the inputs.  A reader races this safely:
+ *    indexes), publishes it by rename, and only then unlinks the
+ *    inputs.  A reader races this safely:
  *    either it still holds the old fds (POSIX keeps the bytes alive),
  *    or its listing sees the merged segment; duplicate coverage during
  *    the swap window is harmless because entries are pure values and
  *    lookups stop at the newest match.
  *
- * The MANIFEST is advisory bookkeeping (epoch, live-segment list with
- * expected record counts) used by `verify` and `stats`; a torn or
- * missing manifest never blocks reads — the directory listing is the
- * source of truth.
+ * The directory listing is the only record of which segments are
+ * live; no other file in the directory is read.
  *
  * Thread safety: all public methods are safe to call concurrently;
  * per-shard mutexes guard pending buffers and segment lists, a store
- * mutex guards scans and the manifest.  An optional background thread
+ * mutex guards scans.  An optional background thread
  * compacts shards whose segment count crosses a threshold.
  */
 
@@ -100,7 +98,7 @@ struct CompactionResult
 
 struct VerifyIssue
 {
-    std::string segment; ///< file name, or "MANIFEST"
+    std::string segment; ///< segment file name
     std::string what;
 };
 
@@ -110,13 +108,11 @@ struct VerifyResult
     std::size_t segments_corrupt = 0;
     std::uint64_t entries_ok = 0;
     std::uint64_t entries_corrupt = 0;
-    bool manifest_ok = true;
     std::vector<VerifyIssue> issues;
 
     bool clean() const
     {
-        return segments_corrupt == 0 && entries_corrupt == 0 &&
-               manifest_ok;
+        return segments_corrupt == 0 && entries_corrupt == 0;
     }
 };
 
@@ -181,7 +177,7 @@ class SegmentStore
     /** Synchronously merge every shard with more than one segment. */
     CompactionResult compact();
 
-    /** Full-store scan: headers, indexes, records, manifest. */
+    /** Full-store scan: headers, indexes, records. */
     VerifyResult verify();
 
     /**
@@ -203,8 +199,6 @@ class SegmentStore
 
     /** Parse `|s=<N>` from a run-cache key. @return validity. */
     static bool seedOfKey(const std::string &key, std::uint64_t &seed);
-
-    static constexpr const char *kManifestName = "MANIFEST";
 
   private:
     struct Shard
@@ -235,7 +229,6 @@ class SegmentStore
     void rescanLocked();
     bool lookupSegments(const std::string &key, std::uint64_t hash,
                         Shard &sh, std::vector<char> &out);
-    void writeManifestLocked();
     void kickCompactor();
     void compactionLoop();
     bool compactShard(std::uint32_t shard_id, CompactionResult &agg);
@@ -245,10 +238,9 @@ class SegmentStore
     Options opts_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
-    mutable std::mutex store_mu_; ///< scan state + manifest + seq floor
+    mutable std::mutex store_mu_; ///< scan state + seq floor
     bool scanned_ = false;
     std::int64_t last_scan_stamp_ = -1;
-    std::uint64_t manifest_epoch_ = 0;
     std::atomic<std::uint64_t> seq_{0};
 
     mutable std::mutex stats_mu_;
@@ -261,22 +253,6 @@ class SegmentStore
     bool compact_wanted_ = false;
     bool stopping_ = false;
 };
-
-/**
- * Manifest IO (exposed for tests and smartconfctl).  The manifest is
- * line-oriented text ending in `end <fnv1a64-of-preceding-bytes>`; a
- * missing or mismatching trailer marks it torn and it is ignored.
- */
-struct Manifest
-{
-    std::uint32_t format = 0;
-    std::uint32_t engine = 0;
-    std::uint64_t epoch = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> segments;
-};
-
-bool readManifest(const std::string &dir, Manifest &out);
-bool writeManifest(const std::string &dir, const Manifest &m);
 
 } // namespace smartconf::store
 
