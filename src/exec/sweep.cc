@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -93,20 +92,15 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     } else {
         if (!pool_)
             pool_ = std::make_unique<ThreadPool>(jobs_);
-        // Bulk submission: the whole grid goes through one
-        // parallelFor (one injector lock, K pooled chunk runners) and
-        // every result is written at its own index — submission-order
-        // determinism by construction rather than by future
-        // collection.  On a body exception parallelFor still runs
+        // The whole grid is one parallelFor and every result is
+        // written at its own index: submission-order determinism by
+        // construction.  On a body exception parallelFor still runs
         // every index, then rethrows the lowest-index error; failed
-        // slots keep their default-constructed results, matching the
-        // old futures path.
+        // slots keep their default-constructed results.
         results.resize(jobs.size());
         pool_->parallelFor(jobs.size(), [&](std::size_t i) {
             results[i] = execute(jobs[i]);
         });
-        // Quiescent between sweeps: recycle the task-node arena.
-        pool_->reclaim();
     }
 
     // Publish buffered disk-cache entries before the clock stops: the

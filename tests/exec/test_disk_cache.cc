@@ -447,7 +447,7 @@ TEST_F(DiskRunCacheTest, DetachStopsSpilling)
     cache.attachDiskCache(root_);
     cache.attachDiskCache("");
     (void)cache.getOrRun("k", [] {
-        return scenarios::ScenarioResult{};
+        return scenarios::ScenarioResult();
     });
     EXPECT_EQ(cache.stats().disk_stores, 0u);
     EXPECT_FALSE(fs::exists(root_));

@@ -20,6 +20,15 @@ using smartconf::exec::SweepJob;
 using smartconf::exec::SweepOptions;
 using smartconf::exec::SweepRunner;
 
+/** Options for a caching runner with @p jobs workers. */
+SweepOptions
+withJobs(std::size_t jobs)
+{
+    SweepOptions opts;
+    opts.jobs = jobs;
+    return opts;
+}
+
 void
 expectSeriesIdentical(const smartconf::sim::TimeSeries &a,
                       const smartconf::sim::TimeSeries &b)
@@ -72,8 +81,8 @@ TEST(SweepDeterminism, Jobs1AndJobs8BitIdenticalForAllSixScenarios)
 {
     const std::vector<SweepJob> jobs = allScenarioJobs();
 
-    SweepRunner serial(SweepOptions{1, true});
-    SweepRunner parallel(SweepOptions{8, true});
+    SweepRunner serial(withJobs(1));
+    SweepRunner parallel(withJobs(8));
     EXPECT_EQ(serial.jobs(), 1u);
     EXPECT_EQ(parallel.jobs(), 8u);
 
@@ -107,12 +116,12 @@ TEST(SweepDeterminism, JobsAndShardWorkersMatrixBitIdentical)
             smartconf::fault::ChaosSpec::kitchenSink(7)),
         1));
 
-    SweepRunner base(SweepOptions{1, true});
+    SweepRunner base(withJobs(1));
     const std::vector<ScenarioResult> ref = base.run(jobs);
     ASSERT_EQ(ref.size(), jobs.size());
 
     for (const std::size_t njobs : {std::size_t{2}, std::size_t{8}}) {
-        SweepRunner runner(SweepOptions{njobs, true});
+        SweepRunner runner(withJobs(njobs));
         const std::vector<ScenarioResult> got = runner.run(jobs);
         ASSERT_EQ(got.size(), ref.size());
         for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -129,7 +138,7 @@ TEST(SweepDeterminism, ShardOpsSumMatchesOpsSimulated)
     // The per-shard counters partition the generated workload: lanes
     // sum to the run's ops_simulated for every generator-driven
     // scenario (MR2820 counts completed tasks on both sides too).
-    SweepRunner runner(SweepOptions{1, true});
+    SweepRunner runner(withJobs(1));
     for (const char *id : {"HB3813", "HB6728", "HB2149", "CA6059",
                            "HD4995", "MR2820"}) {
         const ScenarioResult r = runner.runOne(SweepJob::forScenario(
@@ -147,7 +156,7 @@ TEST(SweepDeterminism, ShardOpsSumMatchesOpsSimulated)
 TEST(SweepDeterminism, ReplayOnWarmCacheIsAllHitsAndIdentical)
 {
     const std::vector<SweepJob> jobs = allScenarioJobs();
-    SweepRunner runner(SweepOptions{4, true});
+    SweepRunner runner(withJobs(4));
 
     const std::vector<ScenarioResult> first = runner.run(jobs);
     const std::vector<ScenarioResult> second = runner.run(jobs);
@@ -171,7 +180,7 @@ TEST(SweepDeterminism, ResultsArriveInSubmissionOrder)
             return r;
         }));
 
-    SweepRunner runner(SweepOptions{8, true});
+    SweepRunner runner(withJobs(8));
     const std::vector<ScenarioResult> out = runner.run(jobs);
     ASSERT_EQ(out.size(), jobs.size());
     for (int i = 0; i < 8; ++i)
@@ -185,7 +194,7 @@ TEST(SweepDeterminism, DuplicateJobsSimulateOnce)
         jobs.push_back(
             SweepJob::forScenario("HB3813", Policy::smart(), 1));
 
-    SweepRunner runner(SweepOptions{4, true});
+    SweepRunner runner(withJobs(4));
     const std::vector<ScenarioResult> out = runner.run(jobs);
     EXPECT_EQ(runner.cache().stats().misses, 1u);
     EXPECT_EQ(runner.cache().stats().hits, 5u);
@@ -205,15 +214,15 @@ TEST(SweepDeterminism, JobExceptionPropagatesFromRun)
         throw std::runtime_error("job failed");
     }));
 
-    SweepRunner serial(SweepOptions{1, true});
+    SweepRunner serial(withJobs(1));
     EXPECT_THROW(serial.run(jobs), std::runtime_error);
-    SweepRunner parallel(SweepOptions{4, true});
+    SweepRunner parallel(withJobs(4));
     EXPECT_THROW(parallel.run(jobs), std::runtime_error);
 }
 
 TEST(SweepDeterminism, UnknownScenarioIdThrows)
 {
-    SweepRunner runner(SweepOptions{1, true});
+    SweepRunner runner(withJobs(1));
     EXPECT_THROW(runner.run({SweepJob::forScenario(
                      "NOPE", Policy::smart(), 1)}),
                  std::invalid_argument);

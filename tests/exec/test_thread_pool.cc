@@ -1,10 +1,20 @@
+/**
+ * @file
+ * Coverage for the parallelFor pool: index placement, the empty and
+ * small grids, lowest-index exception propagation, repeated and
+ * concurrent calls, and shutdown right after a burst of calls.  The
+ * ThreadPool* suites run under the tsan and asan presets (see
+ * CMakePresets.json).
+ */
+
 #include "exec/thread_pool.h"
 
 #include <atomic>
 #include <chrono>
-#include <future>
+#include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,19 +24,13 @@ namespace {
 
 using smartconf::exec::ThreadPool;
 
-TEST(ThreadPool, SubmitReturnsResult)
-{
-    ThreadPool pool(2);
-    EXPECT_EQ(pool.size(), 2u);
-    std::future<int> f = pool.submit([] { return 41 + 1; });
-    EXPECT_EQ(f.get(), 42);
-}
-
 TEST(ThreadPool, ZeroThreadsClampsToOne)
 {
     ThreadPool pool(0);
     EXPECT_EQ(pool.size(), 1u);
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+    int out = 0;
+    pool.parallelFor(1, [&](std::size_t) { out = 7; });
+    EXPECT_EQ(out, 7);
 }
 
 TEST(ThreadPool, DefaultConcurrencyAtLeastOne)
@@ -37,79 +41,138 @@ TEST(ThreadPool, DefaultConcurrencyAtLeastOne)
 TEST(ThreadPool, ManyTasksAllComplete)
 {
     ThreadPool pool(4);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 500; ++i)
-        futures.push_back(pool.submit([i] { return i; }));
-    int sum = 0;
-    for (auto &f : futures)
-        sum += f.get();
-    EXPECT_EQ(sum, 499 * 500 / 2);
+    std::vector<int> out(500, -1);
+    pool.parallelFor(out.size(), [&](std::size_t i) {
+        out[i] = static_cast<int>(i);
+    });
+    EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0),
+              499 * 500 / 2);
 }
 
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
+TEST(ThreadPool, TwoThreadsCallParallelForAtOnce)
 {
-    ThreadPool pool(2);
-    std::future<int> ok = pool.submit([] { return 1; });
-    std::future<int> bad = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_EQ(ok.get(), 1);
-    EXPECT_THROW(bad.get(), std::runtime_error);
-    // The pool survives a throwing task.
-    EXPECT_EQ(pool.submit([] { return 2; }).get(), 2);
-}
-
-TEST(ThreadPool, SubmitFromManyThreadsStress)
-{
+    // Two callers share one pool; their calls are serialised, and
+    // each sees only its own grid run to completion.
     ThreadPool pool(4);
-    constexpr int kSubmitters = 8;
-    constexpr int kTasksEach = 200;
-    std::atomic<int> executed{0};
-
-    std::vector<std::thread> submitters;
-    std::vector<std::vector<std::future<int>>> futures(kSubmitters);
-    for (int s = 0; s < kSubmitters; ++s) {
-        submitters.emplace_back([&, s] {
-            for (int i = 0; i < kTasksEach; ++i)
-                futures[s].push_back(pool.submit([&executed, i] {
-                    executed.fetch_add(1, std::memory_order_relaxed);
-                    return i;
-                }));
+    constexpr std::size_t kN = 2000;
+    constexpr int kRounds = 50;
+    std::vector<std::vector<std::size_t>> out(
+        2, std::vector<std::size_t>(kN, 0));
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < 2; ++c) {
+        callers.emplace_back([&, c] {
+            for (int round = 1; round <= kRounds; ++round)
+                pool.parallelFor(kN, [&, c, round](std::size_t i) {
+                    out[c][i] = i * (c + 2) + round;
+                });
         });
     }
-    for (std::thread &t : submitters)
+    for (std::thread &t : callers)
         t.join();
-
-    int sum = 0;
-    for (auto &per_thread : futures)
-        for (auto &f : per_thread)
-            sum += f.get();
-    EXPECT_EQ(executed.load(), kSubmitters * kTasksEach);
-    EXPECT_EQ(sum, kSubmitters * (kTasksEach - 1) * kTasksEach / 2);
+    for (std::size_t c = 0; c < 2; ++c)
+        for (std::size_t i = 0; i < kN; ++i)
+            ASSERT_EQ(out[c][i], i * (c + 2) + kRounds)
+                << "caller " << c << " index " << i;
 }
 
-TEST(ThreadPool, WorkerCanSubmitFollowUpWork)
+TEST(ThreadPool, BackToBackCallsThenDestructionDoesNotHang)
+{
+    // The fleet's per-epoch pattern: many short calls in a row, then
+    // the pool goes away at once.
+    std::atomic<std::size_t> ran{0};
+    {
+        ThreadPool pool(4);
+        for (int call = 0; call < 1000; ++call)
+            pool.parallelFor(8, [&](std::size_t) {
+                ran.fetch_add(1, std::memory_order_relaxed);
+            });
+    }
+    EXPECT_EQ(ran.load(), 8000u);
+}
+
+TEST(ThreadPoolStress, SkewedTaskDurationsAllComplete)
+{
+    // A few slow bodies next to many trivial ones: the other workers
+    // must keep draining the short tail while the slow ones run.
+    ThreadPool pool(4);
+    constexpr std::size_t kN = 400;
+    std::vector<long> out(kN, -1);
+    pool.parallelFor(kN, [&](std::size_t i) {
+        if (i % 37 == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(500));
+        out[i] = static_cast<long>(i);
+    });
+    EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0L),
+              static_cast<long>(kN - 1) * kN / 2);
+}
+
+TEST(ThreadPoolParallelFor, ResultsLandAtOwnIndex)
+{
+    ThreadPool pool(4);
+    constexpr std::size_t kN = 1000;
+    std::vector<std::size_t> out(kN, 0);
+    pool.parallelFor(kN, [&](std::size_t i) { out[i] = i * 3 + 1; });
+    for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(out[i], i * 3 + 1) << "index " << i;
+}
+
+TEST(ThreadPoolParallelFor, ZeroIterationsIsANoop)
 {
     ThreadPool pool(2);
-    // The outer task submits the inner one and hands back its future
-    // without blocking on it (blocking inside a worker could deadlock
-    // a saturated pool).
-    std::future<std::future<int>> outer =
-        pool.submit([&pool] { return pool.submit([] { return 9; }); });
-    EXPECT_EQ(outer.get().get(), 9);
+    bool touched = false;
+    pool.parallelFor(0, [&](std::size_t) { touched = true; });
+    EXPECT_FALSE(touched);
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
+TEST(ThreadPoolParallelFor, FewerItemsThanWorkers)
 {
-    std::atomic<int> executed{0};
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&executed] {
-                std::this_thread::sleep_for(std::chrono::microseconds(100));
-                executed.fetch_add(1);
-            });
-    } // ~ThreadPool joins after the queue drains
-    EXPECT_EQ(executed.load(), 50);
+    ThreadPool pool(8);
+    std::vector<int> out(3, 0);
+    pool.parallelFor(3, [&](std::size_t i) {
+        out[i] = static_cast<int>(i) + 10;
+    });
+    EXPECT_EQ(out[0], 10);
+    EXPECT_EQ(out[1], 11);
+    EXPECT_EQ(out[2], 12);
+}
+
+TEST(ThreadPoolParallelFor, LowestIndexExceptionWinsAndAllIndicesRun)
+{
+    ThreadPool pool(4);
+    constexpr std::size_t kN = 500;
+    std::atomic<std::size_t> ran{0};
+    try {
+        pool.parallelFor(kN, [&](std::size_t i) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+            if (i == 3 || i == 250 || i == 400)
+                throw std::runtime_error("body " +
+                                         std::to_string(i));
+        });
+        FAIL() << "expected parallelFor to rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "body 3");
+    }
+    // Every index still executed; a throwing body does not abort the
+    // rest of the grid.
+    EXPECT_EQ(ran.load(), kN);
+
+    // The pool survives a throwing call.
+    std::vector<int> out(4, 0);
+    pool.parallelFor(out.size(), [&](std::size_t i) { out[i] = 1; });
+    EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 4);
+}
+
+TEST(ThreadPoolParallelFor, RepeatedCalls)
+{
+    ThreadPool pool(4);
+    std::vector<double> out(256, 0.0);
+    for (int round = 0; round < 10; ++round) {
+        pool.parallelFor(out.size(), [&](std::size_t i) {
+            out[i] = static_cast<double>(i) * round;
+        });
+        for (std::size_t i = 0; i < out.size(); ++i)
+            ASSERT_EQ(out[i], static_cast<double>(i) * round);
+    }
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Fleet determinism across executor configurations: the results that
  * feed bench_fleet's JSON payload must be identical whether the epoch
- * bodies run serially on the calling thread or on a work-stealing pool
+ * bodies run serially on the calling thread or on a parallelFor pool
  * of any size.  This is the in-process half of the
  * `bench_fleet --json` byte-identity that CI checks via the payload
  * sha at every --jobs count.

@@ -155,9 +155,11 @@ TEST_F(StoreQueryTest, QuerySeesPendingEntriesAndDedupsSuperseded)
     const std::vector<QueryRow> rows = queryStore(s, QueryFilter{});
     EXPECT_EQ(rows.size(), 2u) << "duplicate key leaked into results";
     // s=1 must come from the pending buffer (newest wins).
-    for (const QueryRow &r : rows)
-        if (r.seed == 1)
+    for (const QueryRow &r : rows) {
+        if (r.seed == 1) {
             EXPECT_TRUE(r.segment.empty());
+        }
+    }
 }
 
 TEST_F(StoreQueryTest, QuerySurvivesCompaction)

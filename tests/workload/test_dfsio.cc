@@ -56,8 +56,9 @@ TEST(Dfsio, ClientIdsWithinRange)
     for (int t = 0; t < 200; ++t) {
         gen.tickInto(t, reqs);
         for (const auto &req : reqs) {
-            if (req.type == DfsRequest::Type::WriteFile)
+            if (req.type == DfsRequest::Type::WriteFile) {
                 EXPECT_LT(req.client, 4u);
+            }
         }
     }
 }
