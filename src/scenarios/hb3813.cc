@@ -186,7 +186,7 @@ Hb3813Scenario::run(const Policy &policy, std::uint64_t seed) const
         gen.setRequestSizeMb(req_size.at(t));
         gen.setOpsPerTick(arrivalRate(opts_, t));
         gen.tickInto(ops);
-        server.accept(ops, t, gen.lastSeq());
+        server.accept(ops, t);
         server.step(t);
         if (opts_.spike_mb > 0.0 && t >= opts_.spike_at) {
             const double progress =

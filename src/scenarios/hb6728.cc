@@ -198,7 +198,7 @@ Hb6728Scenario::run(const Policy &policy, std::uint64_t seed) const
         }
         memstore.step(t);
         server.heap().set(memstore_slot, memstore.occupancyMb());
-        server.accept(ops, t, gen.lastSeq());
+        server.accept(ops, t);
         server.step(t);
         const double mem = server.heap().usedMb();
 

@@ -67,14 +67,16 @@ Rng::gaussian(double mean, double stddev)
         have_spare_ = false;
         return mean + stddev * spare_;
     }
-    // Inline next() twice instead of fillRaw(w, 2): same words, but a
-    // single-pair draw doesn't amortize the batch path's two kernel
-    // calls (per-tick batch-size draws hit this at scenario-tick rate).
+    // Inline next() twice instead of fillRaw(w, 2), and call the
+    // scalar pair directly instead of the dispatcher: same words and
+    // bits, but a single-pair draw amortizes neither the batch path's
+    // kernel calls nor the hasAvx2() branch (per-tick batch-size
+    // draws hit this at scenario-tick rate).
     std::uint64_t w[2];
     w[0] = next();
     w[1] = next();
     double z[2];
-    kernels::gaussianPairs(w, z, 1);
+    kernels::reference::gaussianPairs(w, z, 1);
     spare_ = z[1];
     have_spare_ = true;
     return mean + stddev * z[0];

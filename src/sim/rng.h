@@ -51,6 +51,21 @@ class Rng
     void fillRaw(std::uint64_t *out, std::size_t n);
 
     /**
+     * Skip the next @p n raw values: the generator lands where @p n
+     * next() calls would leave it, without computing their outputs.
+     * The gaussian spare is untouched.  Lets a batch producer keep a
+     * stream's layout when it no longer reads some of its words.
+     */
+    void discard(std::size_t n)
+    {
+        std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+        for (std::size_t i = 0; i < n; ++i)
+            advance(s);
+        for (int j = 0; j < 4; ++j)
+            s_[j] = s[j];
+    }
+
+    /**
      * Integer acceptance bound for a probability-@p p coin flipped on
      * raw words: chance(p) == (next() >> 11) < coinThreshold(p) for
      * every word.  Proof: uniform() = double(r >> 11) * 2^-53 < p
@@ -104,9 +119,11 @@ class Rng
     double exponential(double mean);
 
     /**
-     * Normal variate via the kernel-layer Box-Muller
-     * (kernels::gaussianPairs): each pair of raw words yields two
-     * normals; the second is cached and returned by the next call.
+     * Normal variate via the kernel-layer Box-Muller: each pair of raw
+     * words yields two normals; the second is cached and returned by
+     * the next call.  A single pair calls the scalar reference
+     * (kernels::reference::gaussianPairs) directly; the AVX2 body is
+     * bit-identical but only pays off four pairs at a time.
      */
     double gaussian(double mean = 0.0, double stddev = 1.0);
 

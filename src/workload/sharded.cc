@@ -7,20 +7,8 @@ namespace smartconf::workload {
 
 ShardedYcsbGenerator::ShardedYcsbGenerator(const YcsbParams &params,
                                            sim::Rng rng)
-    : params_(params), plane_(rng),
-      zipf_(params.key_count, params.zipf_theta)
+    : params_(params), plane_(rng)
 {}
-
-void
-ShardedYcsbGenerator::setParams(const YcsbParams &params)
-{
-    const bool rebuild = params.key_count != params_.key_count ||
-                         params.zipf_theta != params_.zipf_theta;
-    params_ = params;
-    if (rebuild)
-        zipf_ = sim::ZipfianGenerator(params.key_count,
-                                      params.zipf_theta);
-}
 
 void
 ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
@@ -33,7 +21,6 @@ ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
     const auto n =
         static_cast<std::size_t>(std::max(0.0, std::round(raw)));
     const std::uint64_t seq = plane_.nextTickSeq();
-    last_seq_ = seq;
 
     out.resize(n);
     scratch_.resize(n);
@@ -46,7 +33,10 @@ ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
 
     // Each block draws only from its own lane's Rng (distinct per
     // block — blocks <= kShards) into its disjoint out/scratch/jitter
-    // segment, in the same SoA column order as YcsbGenerator.
+    // segment, in the same SoA column order as YcsbGenerator.  No
+    // substrate reads a key, so the key column is skipped rather than
+    // drawn; it still spends one word per op, which keeps the jitter
+    // after it (and every payload sha) on the same words.
     Op *const ops = out.data();
     std::uint64_t *const scratch = scratch_.data();
     double *const jitter = jitter_.data();
@@ -59,14 +49,14 @@ ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
         sim::Rng &lane = plane_.lane(spans[b].lane);
 
         lane.fillRaw(scratch + begin, len);
-        for (std::size_t i = begin; i < end; ++i)
+        for (std::size_t i = begin; i < end; ++i) {
             ops[i].type = (scratch[i] >> 11) < write_bound
                               ? Op::Type::Write
                               : Op::Type::Read;
+            ops[i].key = 0; // `out` may hold a keyed batch from elsewhere
+        }
 
-        zipf_.sampleBatch(lane, scratch + begin, len);
-        for (std::size_t i = begin; i < end; ++i)
-            ops[i].key = scratch[i];
+        lane.discard(len);
 
         lane.gaussianBatch(1.0, params_.size_jitter, jitter + begin,
                            len);

@@ -9,11 +9,14 @@
  * partition each tick's batch across the fixed logical shards of a
  * sim::ShardPlane: the per-tick batch size comes from the plane's
  * control stream, and each block of the batch is produced *entirely*
- * by its lane — coins, keys and size jitter drawn from that lane's
- * jump-derived stream into disjoint segments of the shared SoA
- * scratch buffers.  The (n, tick_seq) -> block/lane layout is pure
- * (sim::shardLayout) and every lane owns its gaussian spare, so the
- * generated batch is a function of (params, seed) alone.
+ * by its lane from that lane's jump-derived stream, into disjoint
+ * segments of the shared SoA scratch buffers.  A YCSB lane draws the
+ * type coins, skips one word per op where the Zipf keys used to be
+ * (no substrate reads a key, so the sharded path leaves Op::key at 0
+ * and keeps the stream's layout), then draws the size jitter.  The
+ * (n, tick_seq) -> block/lane layout is pure (sim::shardLayout) and
+ * every lane owns its gaussian spare, so the generated batch is a
+ * function of (params, seed) alone.
  *
  * The RNG stream this defines *differs* from the single-stream
  * generators: block b of a tick is drawn from lane
@@ -45,11 +48,12 @@ class ShardedYcsbGenerator
      * Fill @p out (resized, buffer reused) with one tick's operations.
      * Each block of the sim::shardLayout layout fills its [begin, end)
      * segment from its own lane, in the same struct-of-arrays column
-     * order as YcsbGenerator (coins, keys, sizes).
+     * order as YcsbGenerator (coins, skipped key words, sizes).  Every
+     * op's key is 0.
      */
     void tickInto(std::vector<Op> &out);
 
-    void setParams(const YcsbParams &params);
+    void setParams(const YcsbParams &params) { params_ = params; }
 
     void setOpsPerTick(double v) { params_.ops_per_tick = v; }
     void setWriteFraction(double v) { params_.write_fraction = v; }
@@ -67,20 +71,10 @@ class ShardedYcsbGenerator
         return plane_.opsPerShard();
     }
 
-    /**
-     * Tick sequence of the most recent tickInto (valid after the first
-     * call).  Consumers that want to attribute the batch to shards —
-     * e.g. KvServer's per-lane ingest tallies — replay it through
-     * sim::shardLayout with the batch size.
-     */
-    std::uint64_t lastSeq() const { return last_seq_; }
-
   private:
     YcsbParams params_;
     sim::ShardPlane plane_;
-    sim::ZipfianGenerator zipf_;
     std::uint64_t generated_ = 0;
-    std::uint64_t last_seq_ = 0;
 
     /** Shared SoA buffers; blocks write disjoint segments. */
     std::vector<std::uint64_t> scratch_;

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "workload/sharded.h"
+#include "workload/ycsb.h"
 
 namespace smartconf::workload {
 
@@ -26,7 +26,7 @@ recordDiurnal(const YcsbParams &params, const DiurnalCurve &curve,
               sim::Rng rng, sim::Tick ticks)
 {
     Trace out;
-    ShardedYcsbGenerator gen(params, rng);
+    YcsbGenerator gen(params, rng);
     std::vector<Op> ops;
     for (sim::Tick t = 0; t < ticks; ++t) {
         gen.setOpsPerTick(params.ops_per_tick * curve.at(t));

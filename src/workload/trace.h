@@ -80,10 +80,10 @@ struct DiurnalCurve
 };
 
 /**
- * Record @p ticks of a diurnal YCSB workload: a ShardedYcsbGenerator
- * seeded from @p rng produces each tick's batch (through the sharded
- * data plane's logical lanes) with ops/tick scaled by @p curve.  @p params supplies the
- * peak rate and mix.
+ * Record @p ticks of a diurnal YCSB workload: a YcsbGenerator seeded
+ * from @p rng produces each tick's batch, Zipf keys included, with
+ * ops/tick scaled by @p curve.  @p params supplies the peak rate and
+ * mix.
  */
 Trace recordDiurnal(const YcsbParams &params, const DiurnalCurve &curve,
                     sim::Rng rng, sim::Tick ticks);

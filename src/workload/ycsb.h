@@ -31,6 +31,9 @@ struct Op
     };
 
     Type type = Type::Read;
+    /// Zipf key rank.  Set only by the single-stream YcsbGenerator and
+    /// by recorded traces; the sharded generator leaves it 0, since no
+    /// substrate reads it.
     std::uint64_t key = 0;
     double size_mb = 0.0; ///< payload for writes, response size for reads
 };

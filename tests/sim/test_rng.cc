@@ -99,6 +99,30 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(var, 4.0, 0.15);
 }
 
+TEST(Rng, DiscardMatchesNextCalls)
+{
+    for (const std::size_t n : {0u, 1u, 37u, 1000u}) {
+        Rng skipped(29), walked(29);
+        skipped.discard(n);
+        for (std::size_t i = 0; i < n; ++i)
+            walked.next();
+        EXPECT_EQ(skipped.next(), walked.next()) << "n = " << n;
+    }
+
+    // A pending gaussian spare survives the skip: the next gaussian()
+    // returns it, and the pair after that comes from the skipped-to
+    // position.
+    Rng skipped(31);
+    skipped.gaussian();
+    Rng walked = skipped;
+    skipped.discard(37);
+    EXPECT_EQ(skipped.gaussian(), walked.gaussian());
+    for (int i = 0; i < 37; ++i)
+        walked.next();
+    EXPECT_EQ(skipped.gaussian(), walked.gaussian());
+    EXPECT_EQ(skipped.next(), walked.next());
+}
+
 TEST(Rng, ForkedStreamsAreIndependentAndStable)
 {
     Rng base(101);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 #include "kvstore/memtable.h"
@@ -156,6 +157,25 @@ TEST(Diurnal, RecordedTraceFollowsTheCurve)
             ++peak_ops;
     }
     EXPECT_GT(peak_ops, trough_ops * 2);
+}
+
+TEST(Diurnal, RecordedTraceKeepsZipfKeys)
+{
+    // Traces are the one place keys are read back, so the recorder
+    // draws them: several distinct keys, every one inside the
+    // population.
+    YcsbParams p;
+    p.ops_per_tick = 50.0;
+    p.key_count = 1000;
+    const Trace trace =
+        recordDiurnal(p, DiurnalCurve{0.3, 60}, sim::Rng(35), 60);
+    ASSERT_GT(trace.size(), 0u);
+    std::set<std::uint64_t> keys;
+    for (const auto &r : trace.records()) {
+        EXPECT_LT(r.op.key, p.key_count);
+        keys.insert(r.op.key);
+    }
+    EXPECT_GT(keys.size(), 1u);
 }
 
 TEST(Diurnal, ReplayDrivesAMemtableScenarioSmoke)
